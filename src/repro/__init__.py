@@ -19,52 +19,7 @@ compaction/CKL/CSA/multilevel, and :mod:`repro.bench` for the paper's
 experiment protocol.
 """
 
-from .core import (
-    CompactedResult,
-    Compaction,
-    MultilevelResult,
-    ckl,
-    compact,
-    compacted_bisection,
-    csa,
-    heavy_edge_matching,
-    multilevel_bisection,
-    random_maximal_matching,
-)
-from .graphs import Graph
-from .graphs.generators import (
-    binary_tree,
-    complete_binary_tree,
-    cycle_graph,
-    g2set,
-    g2set_with_degree,
-    gbreg,
-    gnp,
-    gnp_with_degree,
-    grid_graph,
-    ladder_graph,
-    path_graph,
-    random_regular_graph,
-)
-from .partition import (
-    AnnealingSchedule,
-    BalanceCost,
-    Bisection,
-    bisect_paths_and_cycles,
-    bisection_lower_bound,
-    certify,
-    exact_bisection,
-    exact_bisection_width,
-    fiduccia_mattheyses,
-    greedy_improvement,
-    kernighan_lin,
-    KWayPartition,
-    random_bisection,
-    recursive_kway,
-    simulated_annealing,
-    stoer_wagner,
-)
-from .rng import LaggedFibonacciRandom
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -115,3 +70,55 @@ __all__ = [
     "multilevel_bisection",
     "MultilevelResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "CompactedResult",
+            "Compaction",
+            "MultilevelResult",
+            "ckl",
+            "compact",
+            "compacted_bisection",
+            "csa",
+            "heavy_edge_matching",
+            "multilevel_bisection",
+            "random_maximal_matching",
+        ),
+        ".graphs": ("Graph",),
+        ".graphs.generators": (
+            "binary_tree",
+            "complete_binary_tree",
+            "cycle_graph",
+            "g2set",
+            "g2set_with_degree",
+            "gbreg",
+            "gnp",
+            "gnp_with_degree",
+            "grid_graph",
+            "ladder_graph",
+            "path_graph",
+            "random_regular_graph",
+        ),
+        ".partition": (
+            "AnnealingSchedule",
+            "BalanceCost",
+            "Bisection",
+            "bisect_paths_and_cycles",
+            "bisection_lower_bound",
+            "certify",
+            "exact_bisection",
+            "exact_bisection_width",
+            "fiduccia_mattheyses",
+            "greedy_improvement",
+            "kernighan_lin",
+            "KWayPartition",
+            "random_bisection",
+            "recursive_kway",
+            "simulated_annealing",
+            "stoer_wagner",
+        ),
+        ".rng": ("LaggedFibonacciRandom",),
+    },
+)

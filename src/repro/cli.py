@@ -49,58 +49,31 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bench import (
-    current_scale,
-    g2set_cases,
-    gbreg_cases,
-    gnp_cases,
-    grid_cases,
-    btree_cases,
-    ladder_cases,
-    render_generic_table,
-    render_paper_table,
-    run_workload,
-    standard_algorithm_specs,
-)
-from .engine import (
-    AlgorithmSpec,
-    Engine,
-    Job,
-    ResultCache,
-    Telemetry,
-    Timer,
-    read_batch_file,
-    run_batch,
-)
-from .graphs.generators import (
-    binary_tree,
-    g2set,
-    gbreg,
-    gnp,
-    grid_graph,
-    ladder_graph,
-)
-from .graphs.graph import graph_fingerprint
-from .graphs.io import read_edge_list, write_edge_list
-from .rng import derive_seed, resolve_rng
+if TYPE_CHECKING:
+    from .engine.executor import Engine
 
 __all__ = ["main"]
+
+# Subcommand handlers import what they run inside their bodies, so a
+# process loads only the modules of the one command it executes.
 
 # Graph bisectors exposed on `run` (all resolved through the engine registry).
 _GRAPH_ALGORITHMS = ("ckl", "csa", "cycles", "fm", "greedy", "kl", "multilevel", "sa")
 
+# Paper tables: name -> (case builder in repro.bench.workloads, its extra args).
 _TABLES = {
-    "gbreg-d3": lambda scale: gbreg_cases(scale, 3),
-    "gbreg-d4": lambda scale: gbreg_cases(scale, 4),
-    "g2set-2.5": lambda scale: g2set_cases(scale, 2.5),
-    "g2set-3": lambda scale: g2set_cases(scale, 3.0),
-    "g2set-3.5": lambda scale: g2set_cases(scale, 3.5),
-    "g2set-4": lambda scale: g2set_cases(scale, 4.0),
-    "gnp": lambda scale: gnp_cases(scale),
-    "ladder": lambda scale: ladder_cases(scale),
-    "grid": lambda scale: grid_cases(scale),
-    "btree": lambda scale: btree_cases(scale),
+    "gbreg-d3": ("gbreg_cases", 3),
+    "gbreg-d4": ("gbreg_cases", 4),
+    "g2set-2.5": ("g2set_cases", 2.5),
+    "g2set-3": ("g2set_cases", 3.0),
+    "g2set-3.5": ("g2set_cases", 3.5),
+    "g2set-4": ("g2set_cases", 4.0),
+    "gnp": ("gnp_cases",),
+    "ladder": ("ladder_cases",),
+    "grid": ("grid_cases",),
+    "btree": ("btree_cases",),
 }
 
 
@@ -108,6 +81,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
     return value
 
 
@@ -152,6 +132,10 @@ def _make_engine(
     timeout: float | None = None,
     retries: int = 0,
 ) -> Engine:
+    from .engine.cache import ResultCache
+    from .engine.executor import Engine
+    from .engine.telemetry import Telemetry
+
     store = None
     if cache and not getattr(args, "no_cache", False):
         store = ResultCache(getattr(args, "cache_dir", None))
@@ -165,6 +149,16 @@ def _make_engine(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .graphs.generators import (
+        binary_tree,
+        g2set,
+        gbreg,
+        gnp,
+        grid_graph,
+        ladder_graph,
+    )
+    from .graphs.io import write_edge_list
+
     if args.model == "gbreg":
         graph = gbreg(args.vertices, args.width, args.degree, args.seed).graph
     elif args.model == "g2set":
@@ -186,6 +180,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .engine.job import AlgorithmSpec, Job
+    from .graphs.io import read_edge_list
+    from .rng import derive_seed, resolve_rng
+
     graph = read_edge_list(args.graph)
     spec = AlgorithmSpec.make(args.algorithm)
     engine = _make_engine(args, cache=False)
@@ -234,6 +232,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_kway(args: argparse.Namespace) -> int:
+    from .engine.telemetry import Timer
+    from .graphs.io import read_edge_list
     from .partition.kway import recursive_kway
 
     graph = read_edge_list(args.graph)
@@ -254,6 +254,7 @@ def _cmd_kway(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     """Score a saved partition file against its graph."""
+    from .graphs.io import read_edge_list
     from .partition.io import read_partition
 
     graph = read_edge_list(args.graph)
@@ -275,6 +276,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_netlist(args: argparse.Namespace) -> int:
+    from .engine.telemetry import Timer
     from .hypergraph import (
         compacted_hypergraph_fm,
         hypergraph_fm,
@@ -319,6 +321,7 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .bench.report import generate_report
+    from .bench.workloads import current_scale
 
     scale = current_scale()
     engine = _make_engine(args)
@@ -335,10 +338,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    scale = current_scale()
-    cases = _TABLES[args.table](scale)
+    from .bench import workloads
+    from .bench.runner import run_workload
+    from .bench.tables import render_paper_table
+
+    scale = workloads.current_scale()
+    builder, *extra = _TABLES[args.table]
+    cases = getattr(workloads, builder)(scale, *extra)
     include_sa = not args.kl_only
-    algorithms = standard_algorithm_specs(scale, include_sa=include_sa)
+    algorithms = workloads.standard_algorithm_specs(scale, include_sa=include_sa)
     engine = _make_engine(args)
     rows = run_workload(
         cases, algorithms, rng=args.seed, starts=scale.starts, engine=engine
@@ -354,6 +362,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .bench.tables import render_generic_table
+    from .engine.batch import read_batch_file, run_batch
+
     try:
         entries = read_batch_file(args.spec)
     except (OSError, ValueError) as exc:
@@ -395,6 +406,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .graphs.graph import graph_fingerprint
+    from .graphs.io import read_edge_list
     from .graphs.traversal import connected_components
 
     graph = read_edge_list(args.graph)
@@ -476,6 +489,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .bench.tables import render_generic_table
     from .obs import (
         diff_ledgers,
         ledger_dir,
@@ -750,6 +764,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .engine.cache import ResultCache
+    from .engine.telemetry import Telemetry
     from .service import make_server
 
     store = None if args.no_cache else ResultCache(getattr(args, "cache_dir", None))
@@ -823,6 +839,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
     else:
         # No --url: boot an in-process server on an ephemeral port and
         # load-test that, so the command is self-contained.
+        from .engine.cache import ResultCache
+        from .engine.telemetry import Telemetry
         from .service import ServiceThread
 
         store = None if args.no_cache else ResultCache(getattr(args, "cache_dir", None))
@@ -852,6 +870,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .engine.cache import ResultCache
+
     store = ResultCache(getattr(args, "cache_dir", None))
     if args.action == "stats":
         stats = store.stats()
@@ -959,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", choices=_GRAPH_ALGORITHMS, default="ckl")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--starts", type=int, default=1,
+        "--starts", type=_positive_int, default=1,
         help="independent random starts (best cut wins; paper protocol is 2)",
     )
     run.add_argument("--show-sides", action="store_true")
@@ -1026,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-job wall-clock timeout in seconds",
     )
     batch.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=_non_negative_int, default=0,
         help="default retries per job (each retry gets a fresh derived seed)",
     )
     _add_engine_options(batch)
@@ -1263,7 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-job timeout passed to submissions",
     )
     serve.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=_non_negative_int, default=0,
         help="default per-job retries (each retry derives a fresh seed)",
     )
     serve.add_argument(

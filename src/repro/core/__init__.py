@@ -1,21 +1,6 @@
 """The paper's contribution: compaction, CKL/CSA, and recursive coalescing."""
 
-from .compaction import Compaction, compact
-from .matching import (
-    heavy_edge_matching,
-    is_matching,
-    is_maximal_matching,
-    random_maximal_matching,
-)
-from .multilevel import MultilevelResult, multilevel_bisection
-from .pipeline import (
-    CoarseOnlyResult,
-    CompactedResult,
-    ckl,
-    coarse_only_bisection,
-    compacted_bisection,
-    csa,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "random_maximal_matching",
@@ -33,3 +18,25 @@ __all__ = [
     "multilevel_bisection",
     "MultilevelResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".compaction": ("Compaction", "compact"),
+        ".matching": (
+            "heavy_edge_matching",
+            "is_matching",
+            "is_maximal_matching",
+            "random_maximal_matching",
+        ),
+        ".multilevel": ("MultilevelResult", "multilevel_bisection"),
+        ".pipeline": (
+            "CoarseOnlyResult",
+            "CompactedResult",
+            "ckl",
+            "coarse_only_bisection",
+            "compacted_bisection",
+            "csa",
+        ),
+    },
+)

@@ -14,20 +14,7 @@ Entry points: :class:`Engine` (run jobs), :class:`AlgorithmSpec` /
 helpers in :mod:`repro.engine.batch`.
 """
 
-from .batch import BatchEntry, read_batch_file, run_batch
-from .cache import ResultCache, cache_key, default_cache_dir
-from .executor import Engine, JobTimeout, execute_job, retry_seed
-from .handles import JobHandle, JobRunner
-from .job import Algorithm, AlgorithmSpec, Job, JobResult
-from .registry import (
-    AlgorithmInfo,
-    algorithm_info,
-    algorithm_names,
-    build_algorithm,
-    register_algorithm,
-)
-from .replicas import ChainCell, ReplicaSet, sa_replicas, sa_temperature_chain
-from .telemetry import Telemetry, TelemetryEvent, Timer
+from .._exports import lazy_exports
 
 __all__ = [
     "Algorithm",
@@ -59,3 +46,28 @@ __all__ = [
     "sa_replicas",
     "sa_temperature_chain",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".batch": ("BatchEntry", "read_batch_file", "run_batch"),
+        ".cache": ("ResultCache", "cache_key", "default_cache_dir"),
+        ".executor": ("Engine", "JobTimeout", "execute_job", "retry_seed"),
+        ".handles": ("JobHandle", "JobRunner"),
+        ".job": ("Algorithm", "AlgorithmSpec", "Job", "JobResult"),
+        ".registry": (
+            "AlgorithmInfo",
+            "algorithm_info",
+            "algorithm_names",
+            "build_algorithm",
+            "register_algorithm",
+        ),
+        ".replicas": (
+            "ChainCell",
+            "ReplicaSet",
+            "sa_replicas",
+            "sa_temperature_chain",
+        ),
+        ".telemetry": ("Telemetry", "TelemetryEvent", "Timer"),
+    },
+)

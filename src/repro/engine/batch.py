@@ -66,6 +66,9 @@ def read_batch_file(path: str | Path) -> list[BatchEntry]:
             raise ValueError(f"batch job #{position} has no 'graph' path")
         if "algorithm" not in merged:
             raise ValueError(f"batch job #{position} has no 'algorithm' name")
+        retries = merged.get("retries")
+        if retries is not None and (not isinstance(retries, int) or retries < 0):
+            raise ValueError(f"batch job #{position}: 'retries' must be an integer >= 0")
         graph_path = merged["graph"]
         if not Path(graph_path).is_absolute():
             graph_path = str(base / graph_path)
@@ -78,7 +81,7 @@ def read_batch_file(path: str | Path) -> list[BatchEntry]:
                 seed=int(merged.get("seed", 0)),
                 starts=int(merged.get("starts", 1)),
                 timeout=merged.get("timeout"),
-                retries=merged.get("retries"),
+                retries=retries,
                 label=merged.get("label", ""),
             )
         )

@@ -25,28 +25,33 @@ default — see :mod:`repro.graphs.shm`), a :class:`Graph` is exported
 once as a compiled CSR segment and the workers receive only its name:
 one compile per graph per batch, zero-copy array access in every
 worker, and a per-worker pickle only as the fallback path.
+
+Serial runs (``jobs=1``) import none of the pool machinery:
+``multiprocessing``, ``concurrent.futures``, :mod:`repro.graphs.shm` and
+the observability shipper load only when a batch goes parallel, and then
+in the parent, before the pool forks (see :func:`_import_worker_path`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..graphs.graph import Graph, graph_fingerprint, vertex_token
-from ..graphs.shm import SharedGraphSegment, ShmAttachError, ShmGraphRef, shm_enabled
 from ..obs import counter, current_run, gauge, histogram, obs_enabled, span
 from ..obs.clock import monotonic_time
-from ..obs.shipper import collect_shipment, merge_shipment
 from ..rng import LaggedFibonacciRandom
 from .cache import ResultCache, cache_key
 from .job import Job, JobResult
 from .registry import build_algorithm
 from .telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from ..graphs.shm import SharedGraphSegment
 
 __all__ = ["Engine", "JobTimeout", "execute_job", "retry_seed"]
 
@@ -246,6 +251,8 @@ def _resolve_worker_graph(key: str) -> Any:
     outlive every zero-copy view into it — and detached via ``atexit``
     so worker shutdown is quiet and deterministic.
     """
+    from ..graphs.shm import SharedGraphSegment, ShmGraphRef
+
     entry = _WORKER_GRAPHS[key]
     if isinstance(entry, ShmGraphRef):
         cached = _WORKER_ATTACHED.get(entry.name)
@@ -270,6 +277,9 @@ def _resolve_worker_graph(key: str) -> Any:
 
 
 def _worker_run(job: Job) -> JobResult:
+    from ..graphs.shm import ShmAttachError, ShmGraphRef
+    from ..obs.shipper import collect_shipment
+
     shared = isinstance(_WORKER_GRAPHS.get(job.graph_key), ShmGraphRef)
     compiles = getattr(counter("csr_compiles_total"), "value", 0)
     # Everything this job does in the worker — shm attach included — is
@@ -317,6 +327,8 @@ def _pool_start_method() -> str:
     ``get_context`` a ``None`` and hoping, so spawn-only platforms get
     the same seed derivation and telemetry as fork ones.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     override = os.environ.get("REPRO_START_METHOD", "").strip()
     if override:
@@ -329,8 +341,30 @@ def _pool_start_method() -> str:
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
+def _import_worker_path(jobs: Sequence[Job]) -> None:
+    """Import, in the parent, every module a pool worker will run.
+
+    A forked worker inherits the parent's modules, but one it imports
+    itself is compiled again in every worker of every batch, because each
+    :meth:`Engine.run` forks a fresh pool.  So the shm and shipping
+    modules, the selected kernel backend and each job's algorithm are
+    loaded here first; creating the pool loads the pool machinery.
+    """
+    from ..graphs import shm  # noqa: F401 - attach in the worker
+    from ..kernels import kernel_backend
+    from ..obs import shipper  # noqa: F401 - ship from the worker
+
+    kernel_backend()  # imports numpy when REPRO_KERNEL=numpy selects it
+    for spec in dict.fromkeys(job.spec() for job in jobs):
+        try:
+            build_algorithm(spec)
+        except Exception:  # noqa: BLE001 - the worker fails it again, and reports it
+            continue
+
+
 def _make_pool(workers: int, graphs: Mapping[str, Any]):
     """Create the process pool (separated out so tests can break it)."""
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context(_pool_start_method())
@@ -361,6 +395,8 @@ class Engine:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if retries < 0:
+            raise ValueError("retries must be at least 0")
         self.jobs = jobs
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
@@ -445,6 +481,8 @@ class Engine:
             changes["timeout"] = self.timeout
         if job.retries is None:
             changes["retries"] = self.retries
+        elif job.retries < 0:
+            raise ValueError(f"job {job.job_id or index!r}: retries must be at least 0")
         return replace(job, **changes) if changes else job
 
     def _cache_key(
@@ -519,6 +557,7 @@ class Engine:
             parallel = False
         segments: dict[str, SharedGraphSegment] = {}
         if parallel:
+            _import_worker_path([job for _, job, _ in pending])
             needed = {job.graph_key for _, job, _ in pending}
             table = self._share_graphs(needed, graphs, segments)
             try:
@@ -563,6 +602,8 @@ class Engine:
         key) for the caller to release; a failed export falls back to
         shipping that graph whole, exactly as before shm existed.
         """
+        from ..graphs.shm import SharedGraphSegment, ShmGraphRef, shm_enabled
+
         table: dict[str, Any] = {}
         for key in sorted(needed, key=str):
             graph = graphs[key]
@@ -609,6 +650,8 @@ class Engine:
         records additionally land in the batch telemetry sink so a single
         JSONL file feeds ``repro-bisect trace export``.
         """
+        from ..obs.shipper import merge_shipment
+
         shipment = result.obs
         if not shipment:
             return result

@@ -1,28 +1,6 @@
 """Graph substrate: data structure, generators, traversal, properties, I/O."""
 
-from .csr import CSRGraph, cached_csr, csr_enabled, csr_view
-from .graph import Graph, graph_fingerprint, vertex_token
-from .properties import (
-    degree_histogram,
-    degree_statistics,
-    expected_gnp_degree,
-    gnp_probability_for_degree,
-    is_regular,
-    is_simple,
-    max_degree,
-    min_degree,
-    planted_probability_for_degree,
-    random_bisection_expected_cut,
-)
-from .traversal import (
-    bfs_layers,
-    bfs_order,
-    connected_components,
-    cycle_decomposition,
-    dfs_order,
-    is_connected,
-    shortest_path_lengths,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "Graph",
@@ -50,3 +28,32 @@ __all__ = [
     "planted_probability_for_degree",
     "random_bisection_expected_cut",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".csr": ("CSRGraph", "cached_csr", "csr_enabled", "csr_view"),
+        ".graph": ("Graph", "graph_fingerprint", "vertex_token"),
+        ".properties": (
+            "degree_histogram",
+            "degree_statistics",
+            "expected_gnp_degree",
+            "gnp_probability_for_degree",
+            "is_regular",
+            "is_simple",
+            "max_degree",
+            "min_degree",
+            "planted_probability_for_degree",
+            "random_bisection_expected_cut",
+        ),
+        ".traversal": (
+            "bfs_layers",
+            "bfs_order",
+            "connected_components",
+            "cycle_decomposition",
+            "dfs_order",
+            "is_connected",
+            "shortest_path_lengths",
+        ),
+    },
+)

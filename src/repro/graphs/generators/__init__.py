@@ -7,27 +7,11 @@
 * special families: grids, ladders, binary trees, cycles, ... (Section VI).
 """
 
-from .bregular import BisectionRegularGraph, feasible_bisection_widths, gbreg
+from ..._exports import lazy_exports
+
+# `gnp` is both a submodule and a function: importing the submodule would
+# rebind the name to the module, so the pair is bound eagerly.
 from .gnp import gnp, gnp_with_degree
-from .planted import PlantedGraph, g2set, g2set_with_degree
-from .regular import random_regular_graph, sample_with_degrees
-from .special import (
-    binary_tree,
-    caterpillar_graph,
-    circular_ladder_graph,
-    complete_binary_tree,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_cycles,
-    grid_graph,
-    hypercube_graph,
-    ladder_graph,
-    path_graph,
-    star_graph,
-    torus_graph,
-)
-from .trees import prufer_decode, random_tree
 
 __all__ = [
     "gnp",
@@ -57,3 +41,29 @@ __all__ = [
     "random_tree",
     "prufer_decode",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bregular": ("BisectionRegularGraph", "feasible_bisection_widths", "gbreg"),
+        ".planted": ("PlantedGraph", "g2set", "g2set_with_degree"),
+        ".regular": ("random_regular_graph", "sample_with_degrees"),
+        ".special": (
+            "binary_tree",
+            "caterpillar_graph",
+            "circular_ladder_graph",
+            "complete_binary_tree",
+            "complete_bipartite_graph",
+            "complete_graph",
+            "cycle_graph",
+            "disjoint_cycles",
+            "grid_graph",
+            "hypercube_graph",
+            "ladder_graph",
+            "path_graph",
+            "star_graph",
+            "torus_graph",
+        ),
+        ".trees": ("prufer_decode", "random_tree"),
+    },
+)

@@ -18,6 +18,8 @@ inner loops through one of three interchangeable *kernel backends*:
     initialization via ``np.add.reduceat``, cut/side-weight recounts,
     and bulk lagged-Fibonacci stream generation.  Falls back to
     ``array`` when numpy is not installed; never changes a decision.
+    numpy is imported on the first ``REPRO_KERNEL=numpy`` call, never by
+    importing this package, so the other backends do not pay for it.
 
 Every backend is held to the same contract the CSR equivalence matrix
 enforces: identical cuts, assignments, pass/temperature traces, and RNG
@@ -30,6 +32,7 @@ before.
 from __future__ import annotations
 
 import os
+from functools import cache
 
 from ..graphs.csr import csr_enabled
 
@@ -43,15 +46,18 @@ __all__ = [
 KERNEL_ENV = "REPRO_KERNEL"
 BACKENDS = ("dict", "array", "numpy")
 
-try:  # an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-
+@cache
 def numpy_available() -> bool:
-    """True when the optional numpy backend can actually run."""
-    return _np is not None
+    """True when the optional numpy backend can actually run.
+
+    The first call attempts the import (numpy is an optional accelerator,
+    never a requirement); the answer is cached for the process.
+    """
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 def kernel_backend() -> str:
@@ -69,6 +75,6 @@ def kernel_backend() -> str:
         raise ValueError(
             f"{KERNEL_ENV} must be one of {BACKENDS}, got {raw!r}"
         )
-    if raw == "numpy" and _np is None:
+    if raw == "numpy" and not numpy_available():
         return "array"
     return raw

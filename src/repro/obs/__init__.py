@@ -20,87 +20,7 @@ run never changes it.*  Instrumentation reads algorithm state; it never
 draws from the RNG, never reorders iteration, never rounds a decision.
 """
 
-from .accumulator import (
-    P2Quantile,
-    StreamingStats,
-    TailFit,
-    best_of_k_extrapolation,
-    fit_lower_tail,
-)
-from .buildinfo import process_rss_bytes, refresh_process_gauges, set_build_info
-from .clock import monotonic_time, wall_time
-from .ledger import (
-    LEDGER_SCHEMA,
-    build_ledger,
-    diff_ledgers,
-    ledger_dir,
-    load_ledger,
-    load_schema,
-    validate_ledger,
-    write_ledger,
-)
-from .metrics import (
-    NOOP,
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-    histogram_quantile,
-    obs_enabled,
-)
-from .profiler import SamplingProfiler, maybe_profile, profiling_enabled
-from .shipper import build_shipment, collect_shipment, merge_shipment, parse_series
-from .timeline import (
-    export_chrome_trace,
-    read_event_records,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .trace import (
-    RunContext,
-    Span,
-    capture_spans,
-    current_run,
-    current_run_id,
-    envelope,
-    ingest_span_record,
-    new_run_id,
-    reset_span_totals,
-    run_context,
-    span,
-    span_totals,
-)
-
-# The dashboard and the live `top` monitor render with repro.bench helpers,
-# and repro.bench imports the (instrumented) algorithm modules, which import
-# this package — so both are loaded lazily (PEP 562) to keep
-# `import repro.obs` safe from anywhere in the stack.
-_DASHBOARD_EXPORTS = (
-    "render_ledger",
-    "render_ledger_diff",
-    "render_ledger_prometheus",
-)
-_TOP_EXPORTS = (
-    "TopMonitor",
-    "run_top",
-)
-
-
-def __getattr__(name: str):
-    if name in _DASHBOARD_EXPORTS:
-        from . import dashboard
-
-        return getattr(dashboard, name)
-    if name in _TOP_EXPORTS:
-        from . import top
-
-        return getattr(top, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .._exports import lazy_exports
 
 __all__ = [
     "Counter",
@@ -161,3 +81,69 @@ __all__ = [
     "write_chrome_trace",
     "write_ledger",
 ]
+
+# Every export loads on first use.  The dashboard and the live `top`
+# monitor render with repro.bench helpers, and repro.bench imports the
+# (instrumented) algorithm modules, which import this package — so laziness
+# is also what keeps `import repro.obs` safe from anywhere in the stack.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".accumulator": (
+            "P2Quantile",
+            "StreamingStats",
+            "TailFit",
+            "best_of_k_extrapolation",
+            "fit_lower_tail",
+        ),
+        ".buildinfo": ("process_rss_bytes", "refresh_process_gauges", "set_build_info"),
+        ".clock": ("monotonic_time", "wall_time"),
+        ".dashboard": ("render_ledger", "render_ledger_diff", "render_ledger_prometheus"),
+        ".ledger": (
+            "LEDGER_SCHEMA",
+            "build_ledger",
+            "diff_ledgers",
+            "ledger_dir",
+            "load_ledger",
+            "load_schema",
+            "validate_ledger",
+            "write_ledger",
+        ),
+        ".metrics": (
+            "NOOP",
+            "REGISTRY",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "counter",
+            "gauge",
+            "histogram",
+            "histogram_quantile",
+            "obs_enabled",
+        ),
+        ".profiler": ("SamplingProfiler", "maybe_profile", "profiling_enabled"),
+        ".shipper": ("build_shipment", "collect_shipment", "merge_shipment", "parse_series"),
+        ".timeline": (
+            "export_chrome_trace",
+            "read_event_records",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+        ".top": ("TopMonitor", "run_top"),
+        ".trace": (
+            "RunContext",
+            "Span",
+            "capture_spans",
+            "current_run",
+            "current_run_id",
+            "envelope",
+            "ingest_span_record",
+            "new_run_id",
+            "reset_span_totals",
+            "run_context",
+            "span",
+            "span_totals",
+        ),
+    },
+)

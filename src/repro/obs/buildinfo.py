@@ -5,8 +5,8 @@ scrape or ledger without reaching for external agents:
 
 * ``repro_build_info{version,python,start_method}`` — the classic
   Prometheus info-gauge pattern: always ``1``, identity in the labels;
-* ``repro_process_uptime_seconds`` — monotonic seconds since this module
-  was first imported (import happens at process start for any obs user);
+* ``repro_process_uptime_seconds`` — seconds since the process started
+  (from ``/proc`` where available, else since this module was imported);
 * ``repro_process_rss_bytes`` — current resident set from
   ``/proc/self/statm`` where available, peak RSS via ``resource``
   otherwise.
@@ -31,8 +31,9 @@ __all__ = [
     "set_build_info",
 ]
 
-#: Monotonic instant this module was imported — the uptime origin.
-_PROCESS_START = monotonic_time()
+#: Monotonic instant this module was imported — the uptime origin when
+#: ``/proc`` cannot say when the process started.
+_IMPORTED_AT = monotonic_time()
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -45,6 +46,25 @@ def _start_method() -> str:
         return _pool_start_method()
     except Exception:
         return "unknown"
+
+
+def process_uptime_seconds() -> float:
+    """Seconds since this process started.
+
+    Read from ``/proc`` (process start tick against system uptime) where
+    available, since obs modules load on first use rather than at process
+    start; otherwise measured from this module's import.
+    """
+    try:
+        with open("/proc/self/stat", encoding="ascii") as stream:
+            # Field 22 (starttime, in clock ticks since boot) counts from the
+            # first field after the parenthesised command name.
+            started = int(stream.read().rpartition(")")[2].split()[19])
+        with open("/proc/uptime", encoding="ascii") as stream:
+            booted = float(stream.read().split()[0])
+        return max(0.0, booted - started / os.sysconf("SC_CLK_TCK"))
+    except (OSError, IndexError, ValueError, AttributeError):
+        return monotonic_time() - _IMPORTED_AT
 
 
 def process_rss_bytes() -> float | None:
@@ -88,9 +108,7 @@ def refresh_process_gauges(registry: MetricsRegistry | None = None) -> None:
         return
     target = REGISTRY if registry is None else registry
     set_build_info(target)
-    target.gauge("repro_process_uptime_seconds").set(
-        monotonic_time() - _PROCESS_START
-    )
+    target.gauge("repro_process_uptime_seconds").set(process_uptime_seconds())
     rss = process_rss_bytes()
     if rss is not None:
         target.gauge("repro_process_rss_bytes").set(rss)

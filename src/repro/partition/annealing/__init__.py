@@ -1,8 +1,6 @@
 """Simulated annealing bisection: the algorithm, schedules, and cost models."""
 
-from .cost import BalanceCost
-from .sa import SAResult, simulated_annealing
-from .schedule import AnnealingSchedule, estimate_initial_temperature
+from ..._exports import lazy_exports
 
 __all__ = [
     "simulated_annealing",
@@ -11,3 +9,12 @@ __all__ = [
     "estimate_initial_temperature",
     "BalanceCost",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cost": ("BalanceCost",),
+        ".sa": ("SAResult", "simulated_annealing"),
+        ".schedule": ("AnnealingSchedule", "estimate_initial_temperature"),
+    },
+)

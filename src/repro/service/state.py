@@ -345,6 +345,13 @@ class ServiceState:
         seeds = self._expand_seeds(payload)
         timeout = payload.get("timeout", self.default_timeout)
         retries = payload.get("retries", self.default_retries)
+        if retries is not None:
+            try:
+                retries = int(retries)
+                if retries < 0:
+                    raise ValueError(retries)
+            except (TypeError, ValueError):
+                raise ValidationError("'retries' must be an integer >= 0") from None
         with self._lock:
             inflight = sum(
                 1 for record in self._jobs.values()
@@ -369,7 +376,7 @@ class ServiceState:
                 seed=int(seed),
                 job_id=job_id,
                 timeout=timeout,
-                retries=int(retries) if retries is not None else None,
+                retries=retries,
                 tags=(("tenant", tenant.name),),
             )
             handle = self.runner.submit(job, graph, lane=tenant.name)

@@ -65,6 +65,13 @@ class TestReadBatchFile:
             read_batch_file(_write_spec(tmp_path, {"defaults": {}}))
 
 
+    @pytest.mark.parametrize("retries", [-1, "2"])
+    def test_bad_retries_rejected(self, tmp_path, retries):
+        spec = {"jobs": [{"graph": "g.edges", "algorithm": "kl", "retries": retries}]}
+        with pytest.raises(ValueError, match="'retries'"):
+            read_batch_file(_write_spec(tmp_path, spec))
+
+
 class TestRunBatch:
     def test_matches_best_of_starts_protocol(self, tmp_path, graph_file):
         from repro.graphs.io import read_edge_list

@@ -185,6 +185,14 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             Engine(jobs=0)
 
+    def test_rejects_negative_retries(self):
+        with pytest.raises(ValueError, match="retries"):
+            Engine(retries=-1)
+
+    def test_rejects_job_with_negative_retries(self, graph):
+        with pytest.raises(ValueError, match="retries"):
+            Engine().run([Job("g", AlgorithmSpec.make("kl"), 0, retries=-1)], {"g": graph})
+
     def test_unknown_graph_key_raises(self, graph):
         with pytest.raises(KeyError, match="unknown graph"):
             Engine().run([Job("missing", AlgorithmSpec.make("kl"), 0)], {"g": graph})
@@ -265,7 +273,7 @@ class TestWorkerShmAttachFailureCleanup:
 
     def test_rebuild_failure_detaches_and_caches_nothing(self, monkeypatch):
         import repro.engine.executor as executor
-        from repro.graphs.shm import ShmGraphRef
+        from repro.graphs.shm import SharedGraphSegment, ShmGraphRef
 
         closed = []
 
@@ -279,7 +287,7 @@ class TestWorkerShmAttachFailureCleanup:
                 closed.append(True)
 
         monkeypatch.setattr(
-            executor.SharedGraphSegment, "attach",
+            SharedGraphSegment, "attach",
             classmethod(lambda cls, name: FakeSegment()),
         )
         monkeypatch.setattr(executor, "_WORKER_GRAPHS", {"g": ShmGraphRef("psm_x")})

@@ -87,7 +87,7 @@ class TestNormalLifecycle:
 
     def test_unshareable_graph_falls_back_to_pickle(self, graph, monkeypatch):
         monkeypatch.setattr(
-            executor.SharedGraphSegment,
+            SharedGraphSegment,
             "create",
             staticmethod(lambda g: (_ for _ in ()).throw(OSError("shm full"))),
         )
@@ -112,7 +112,7 @@ class TestAttachFallback:
             return segment
 
         monkeypatch.setattr(
-            executor.SharedGraphSegment, "create", staticmethod(stale_create)
+            SharedGraphSegment, "create", staticmethod(stale_create)
         )
         before = _segment_names()
         telemetry = Telemetry()

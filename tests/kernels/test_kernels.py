@@ -10,9 +10,10 @@ kernels on edge-case graphs (empty, isolated vertices, weighted).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-import repro.kernels as kernels
 from repro.graphs.csr import csr_view
 from repro.graphs.generators import gbreg
 from repro.graphs.graph import Graph
@@ -59,10 +60,15 @@ class TestBackendSwitch:
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
         expected = "numpy" if numpy_available() else "array"
         assert kernel_backend() == expected
-        # A numpy-free install keeps the config valid by degrading.
-        monkeypatch.setattr(kernels, "_np", None)
-        assert kernel_backend() == "array"
-        assert not numpy_available()
+        # A numpy-free install keeps the config valid by degrading: block
+        # the import and drop the cached answer of the availability hook.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        numpy_available.cache_clear()
+        try:
+            assert not numpy_available()
+            assert kernel_backend() == "array"
+        finally:
+            numpy_available.cache_clear()
 
     def test_backends_tuple_is_the_contract(self):
         assert BACKENDS == ("dict", "array", "numpy")

@@ -201,6 +201,8 @@ class TestJobs:
             {"graph": "G", "algorithm": "kl", "seeds": []},
             {"graph": "G", "algorithm": "kl", "seeds": ["x"]},
             {"graph": "G", "algorithm": "kl", "params": {"bogus": 1}},
+            {"graph": "G", "algorithm": "kl", "retries": -1},
+            {"graph": "G", "algorithm": "kl", "retries": "x"},
         ],
     )
     def test_bad_submissions_are_rejected(self, state, tenant, payload):

@@ -53,6 +53,14 @@ class TestRunStarts:
         assert serial.splitlines()[1] == parallel.splitlines()[1]  # the cuts line
 
 
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_non_positive_starts_is_a_usage_error(self, graph_file, starts, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", graph_file, "--algorithm", "kl", "--starts", starts])
+        assert exc.value.code == 2
+        assert "--starts: must be at least 1" in capsys.readouterr().err
+
+
 class TestTableEngine:
     def test_parallel_table_matches_serial_and_hits_cache(
         self, tmp_path, monkeypatch, capsys
@@ -119,6 +127,21 @@ class TestBatch:
         }), encoding="utf-8")
         assert main(["batch", str(spec), "--no-cache"]) == 1
         assert "failed" in capsys.readouterr().out
+
+    def test_negative_retries_is_a_usage_error(self, tmp_path, capsys):
+        for command in (["batch", str(tmp_path / "jobs.json")], ["serve"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--retries", "-1"])
+            assert exc.value.code == 2
+            assert "--retries: must be at least 0" in capsys.readouterr().err
+
+    def test_negative_retries_in_spec_rejected(self, tmp_path, graph_file, capsys):
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps({
+            "jobs": [{"graph": graph_file, "algorithm": "kl", "retries": -1}],
+        }), encoding="utf-8")
+        assert main(["batch", str(spec), "--no-cache"]) == 1
+        assert "'retries' must be an integer >= 0" in capsys.readouterr().err
 
     def test_empty_spec_rejected(self, tmp_path, capsys):
         spec = tmp_path / "jobs.json"
