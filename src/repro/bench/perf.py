@@ -1,15 +1,12 @@
 """Kernel-backend performance snapshots (the ``repro-bisect perf`` command).
 
-The kernel layer (:mod:`repro.kernels`) promises two things: *bitwise
-identical* results across every backend, and a wall-clock win worth its
-complexity.  This module measures the second promise and spot-checks the
-first.  Each paper workload (``Gbreg``/``Gnp`` at 2n = 500/2000/5000) is
-run through KL, FM, SA, CKL, and CSA once per backend from the same seed
-— ``dict`` (the reference kernels), ``array`` (the stdlib CSR kernels),
-and ``numpy`` when available — and the per-algorithm wall time, cut, and
-moves/second land in a ``BENCH_<n>.json`` snapshot.  The cuts and move
-counts from all backends must agree exactly; a mismatch marks the whole
-snapshot failed, because it means a fast path changed behaviour.
+Each paper workload (``Gbreg``/``Gnp`` at 2n = 500/2000/5000) is run
+through KL, FM, SA, CKL, and CSA once per kernel backend from the same
+seed — ``array`` (the stdlib CSR kernels) and ``numpy`` when available —
+and the per-algorithm wall time, cut, move count, and moves/second land
+in a ``BENCH_<n>.json`` snapshot.  The cuts and move counts from all
+backends must agree exactly; a mismatch marks the whole snapshot failed,
+because it means a backend changed behaviour.
 
 At the large sizes the snapshot also carries a *streaming* case: a big
 ``Gbreg`` run as an SA replica ensemble through the execution engine,
@@ -17,13 +14,11 @@ once serially and once over a worker pool with shared-memory CSR
 sharding, recording the shm export/attach telemetry alongside the usual
 cut agreement (see :mod:`repro.graphs.shm`).
 
-Snapshots from different machines are not comparable in absolute seconds,
-so :func:`diff_snapshots` compares the *speedup ratios* (CSR time over
-dict time measured on the same machine in the same process), which are
-machine-independent to first order.  A regression is a cell whose new
-speedup fell more than ``threshold`` below the old one::
-
-    new_speedup < old_speedup * (1 - threshold)
+:func:`diff_snapshots` is an exact behaviour gate, not a timing gate:
+a cell fails when its seeded ``cut`` or ``moves`` differs from the
+baseline's.  The committed ``BENCH_<n>.json`` baselines therefore act as
+paper-scale goldens.  Timings are recorded for reading, and timing
+regressions are left to the repository benchmark (``perfbench/``).
 
 SA and CSA run with ``record_trace=False``: the harness times the walk,
 not the diagnostic bookkeeping.
@@ -68,11 +63,11 @@ __all__ = [
     "write_snapshot",
 ]
 
-#: Schema 2 added the per-backend columns (``array``/``numpy`` beside
-#: ``dict``) and the optional ``streaming`` shared-memory case; schema 1
-#: snapshots (committed baselines) still load and diff.
-SNAPSHOT_SCHEMA = 2
-_SUPPORTED_SCHEMAS = (1, 2)
+#: Schema 3 dropped the reference-kernel columns (``dict_*``, ``speedup*``)
+#: and keeps per-backend ``<backend>_seconds`` / ``<backend>_moves_per_sec``;
+#: schema 1 and 2 snapshots (committed baselines) still load and diff.
+SNAPSHOT_SCHEMA = 3
+_SUPPORTED_SCHEMAS = (1, 2, 3)
 
 PERF_ALGORITHMS = ("kl", "fm", "sa", "ckl", "csa")
 
@@ -119,27 +114,21 @@ def perf_cases(two_n: int) -> list[PerfCase]:
 
 @contextmanager
 def _forced_backend(backend: str):
-    """Pin ``REPRO_KERNEL`` to one backend (restores prior env on exit).
-
-    ``REPRO_NO_CSR`` is cleared for the duration so the harness measures
-    the backend it says it measures even under an ambient escape hatch.
-    """
-    prior = {name: os.environ.get(name) for name in ("REPRO_KERNEL", "REPRO_NO_CSR")}
+    """Pin ``REPRO_KERNEL`` to one backend (restores prior env on exit)."""
+    prior = os.environ.get("REPRO_KERNEL")
     os.environ["REPRO_KERNEL"] = backend
-    os.environ.pop("REPRO_NO_CSR", None)
     try:
         yield
     finally:
-        for name, value in prior.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if prior is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = prior
 
 
 def _snapshot_backends() -> tuple[str, ...]:
     """The backends this host can measure (``numpy`` only if importable)."""
-    backends = ["dict", "array"]
+    backends = ["array"]
     if numpy_available():
         backends.append("numpy")
     return tuple(backends)
@@ -206,7 +195,7 @@ def measure_size(
     The CSR view is compiled once per case *outside* the timed region
     (recorded as ``csr_compile_seconds``): in real use one compile is
     amortized over a whole run/table sweep, and charging it to whichever
-    algorithm happened to go first would distort per-algorithm ratios.
+    algorithm happened to go first would distort per-algorithm timings.
 
     ``streaming=None`` includes the shared-memory streaming case exactly
     when ``two_n >= STREAMING_SIZE_FLOOR``.
@@ -227,7 +216,7 @@ def measure_size(
                     runs[backend] = _best_run(
                         name, graph, seed, sa_size_factor, repeats
                     )
-            dict_seconds, cut, moves = runs["dict"]
+            _seconds, cut, moves = runs["array"]
             cuts_match = all(
                 (c, m) == (cut, moves) for _s, c, m in runs.values()
             )
@@ -242,17 +231,6 @@ def measure_size(
                 cell[f"{backend}_seconds"] = seconds
                 cell[f"{backend}_moves_per_sec"] = (
                     moves / seconds if seconds > 0 else 0.0
-                )
-            array_seconds = runs["array"][0]
-            # "speedup" stays dict-over-default-CSR-backend so schema-1
-            # baselines keep diffing against schema-2 snapshots.
-            cell["speedup"] = (
-                dict_seconds / array_seconds if array_seconds > 0 else 0.0
-            )
-            if "numpy" in runs:
-                numpy_seconds = runs["numpy"][0]
-                cell["speedup_numpy"] = (
-                    dict_seconds / numpy_seconds if numpy_seconds > 0 else 0.0
                 )
             cells[name] = cell
         cases.append(
@@ -390,20 +368,26 @@ def load_snapshot(path: str) -> dict:
     return snapshot
 
 
-def diff_snapshots(old: dict, new: dict, threshold: float = 0.25) -> dict:
-    """Compare two snapshots by speedup ratio; flag regressions.
+def diff_snapshots(old: dict, new: dict) -> dict:
+    """Compare two snapshots cell by cell on their seeded ``cut`` and ``moves``.
 
-    Ratios, not absolute seconds: both runs of a cell happen back to back
-    on one machine, so ``dict_seconds / csr_seconds`` cancels the machine
-    out and an old snapshot from CI remains a valid baseline for a rerun
-    on different hardware.  Cells present in only one snapshot are listed
-    under ``missing`` and do not fail the diff (workloads evolve).
+    A cell whose cut or move count differs from the baseline is a
+    mismatch and fails the diff: from the same seed, every kernel must
+    make the same decisions.  Cells present in only one snapshot are
+    listed under ``missing`` and do not fail the diff (workloads evolve).
 
-    Raises ``ValueError`` when one snapshot was measured with ``REPRO_OBS``
-    instrumentation on and the other with it off — their timings answer
-    different questions.  Snapshots predating the ``obs`` key (legacy
+    Raises ``ValueError`` when the snapshots were measured from a
+    different ``seed`` or ``sa_size_factor`` (their cuts answer different
+    questions), or one with ``REPRO_OBS`` instrumentation on and the
+    other with it off.  Snapshots predating the ``obs`` key (legacy
     baselines) compare against anything.
     """
+    for key in ("seed", "sa_size_factor"):
+        if old.get(key) != new.get(key):
+            raise ValueError(
+                f"refusing to diff perf snapshots: {key} {old.get(key)!r} "
+                f"vs {new.get(key)!r}"
+            )
     old_obs = old.get("obs")
     new_obs = new.get("obs")
     if old_obs is not None and new_obs is not None and old_obs != new_obs:
@@ -411,45 +395,47 @@ def diff_snapshots(old: dict, new: dict, threshold: float = 0.25) -> dict:
             "refusing to diff perf snapshots: one was measured with REPRO_OBS "
             "instrumentation enabled and the other with it disabled"
         )
-    old_cells = {
-        (case["label"], name): cell
-        for case in old["cases"]
-        for name, cell in case["algorithms"].items()
-    }
-    new_cells = {
-        (case["label"], name): cell
-        for case in new["cases"]
-        for name, cell in case["algorithms"].items()
-    }
-    regressions = []
+    old_cells = _cells(old)
+    new_cells = _cells(new)
+    mismatches = []
     compared = []
     for key in sorted(old_cells.keys() & new_cells.keys()):
-        old_speedup = old_cells[key]["speedup"]
-        new_speedup = new_cells[key]["speedup"]
+        old_cell, new_cell = old_cells[key], new_cells[key]
         entry = {
             "label": key[0],
             "algorithm": key[1],
-            "old_speedup": old_speedup,
-            "new_speedup": new_speedup,
+            "old_cut": old_cell["cut"],
+            "new_cut": new_cell["cut"],
+            "old_moves": old_cell["moves"],
+            "new_moves": new_cell["moves"],
         }
         compared.append(entry)
-        if new_speedup < old_speedup * (1.0 - threshold):
-            regressions.append(entry)
+        if (entry["old_cut"], entry["old_moves"]) != (
+            entry["new_cut"], entry["new_moves"]
+        ):
+            mismatches.append(entry)
     missing = [
         {"label": label, "algorithm": name}
         for label, name in sorted(old_cells.keys() ^ new_cells.keys())
     ]
     return {
-        "threshold": threshold,
         "compared": compared,
-        "regressions": regressions,
+        "mismatches": mismatches,
         "missing": missing,
-        "ok": not regressions,
+        "ok": not mismatches,
+    }
+
+
+def _cells(snapshot: dict) -> dict[tuple[str, str], dict]:
+    return {
+        (case["label"], name): cell
+        for case in snapshot["cases"]
+        for name, cell in case["algorithms"].items()
     }
 
 
 def render_snapshot(snapshot: dict) -> str:
-    """Human-readable table for one snapshot (schema 1 or 2)."""
+    """Human-readable table for one snapshot (any supported schema)."""
 
     def fmt(seconds: float | None) -> str:
         return "-" if seconds is None else f"{seconds:.3f}"
@@ -462,11 +448,10 @@ def render_snapshot(snapshot: dict) -> str:
                 [
                     case["label"],
                     name,
-                    fmt(cell["dict_seconds"]),
                     fmt(array_seconds),
                     fmt(cell.get("numpy_seconds")),
-                    f"{cell['speedup']:.2f}x",
                     cell["cut"],
+                    cell["moves"],
                     "yes" if cell["cuts_match"] else "NO",
                 ]
             )
@@ -476,8 +461,7 @@ def render_snapshot(snapshot: dict) -> str:
     )
     lines = [
         render_generic_table(
-            ["graph", "algo", "dict(s)", "array(s)", "numpy(s)", "speedup",
-             "cut", "match"],
+            ["graph", "algo", "array(s)", "numpy(s)", "cut", "moves", "match"],
             rows,
             title=title,
         )
@@ -500,9 +484,9 @@ def render_diff(report: dict) -> str:
         [
             entry["label"],
             entry["algorithm"],
-            f"{entry['old_speedup']:.2f}x",
-            f"{entry['new_speedup']:.2f}x",
-            "REGRESSED" if entry in report["regressions"] else "ok",
+            f"{entry['old_cut']} / {entry['old_moves']}",
+            f"{entry['new_cut']} / {entry['new_moves']}",
+            "MISMATCH" if entry in report["mismatches"] else "ok",
         ]
         for entry in report["compared"]
     ]
@@ -510,16 +494,15 @@ def render_diff(report: dict) -> str:
         rows.append([entry["label"], entry["algorithm"], "-", "-", "missing"])
     lines = [
         render_generic_table(
-            ["graph", "algo", "old speedup", "new speedup", "status"],
+            ["graph", "algo", "old cut / moves", "new cut / moves", "status"],
             rows,
-            title=f"perf diff (threshold {report['threshold']:.0%})",
+            title="perf diff (seeded cut and moves must match exactly)",
         )
     ]
-    if report["regressions"]:
+    if report["mismatches"]:
         lines.append(
-            f"{len(report['regressions'])} cell(s) regressed beyond "
-            f"{report['threshold']:.0%}"
+            f"{len(report['mismatches'])} cell(s) changed their seeded cut or moves"
         )
     else:
-        lines.append("no regressions")
+        lines.append("all seeded cuts and moves match")
     return "\n".join(lines)

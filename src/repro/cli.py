@@ -438,9 +438,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.diff:
         old_path, new_path = args.diff
         try:
-            report = diff_snapshots(
-                load_snapshot(old_path), load_snapshot(new_path), args.threshold
-            )
+            report = diff_snapshots(load_snapshot(old_path), load_snapshot(new_path))
         except (OSError, ValueError) as exc:
             print(f"cannot diff snapshots: {exc}", file=sys.stderr)
             return 2
@@ -459,7 +457,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(render_snapshot(snapshot))
         if not snapshot["ok"]:
             print(
-                f"2n={two_n}: CSR and dict paths disagree (see 'match' column)",
+                f"2n={two_n}: kernel backends disagree (see 'match' column)",
                 file=sys.stderr,
             )
             exit_code = 1
@@ -477,7 +475,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 exit_code = 1
                 continue
             try:
-                report = diff_snapshots(baseline, snapshot, args.threshold)
+                report = diff_snapshots(baseline, snapshot)
             except ValueError as exc:
                 print(f"cannot diff against baseline: {exc}", file=sys.stderr)
                 exit_code = 1
@@ -1060,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="benchmark the CSR fast path against the dict baseline "
+        help="time the kernel backends on the paper workloads "
         "(writes BENCH_<n>.json snapshots; can diff two snapshots)",
     )
     perf.add_argument(
@@ -1087,15 +1085,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--check", metavar="DIR",
         help="after measuring, diff each snapshot against DIR/BENCH_<n>.json "
-        "and exit non-zero on regression",
+        "and exit non-zero when a seeded cut or move count differs",
     )
     perf.add_argument(
         "--diff", nargs=2, metavar=("OLD", "NEW"),
         help="just diff two snapshot files (no measurement)",
-    )
-    perf.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="speedup-ratio regression threshold for diffs (default: 0.25)",
     )
     _add_obs_options(perf)
     perf.set_defaults(func=_cmd_perf)

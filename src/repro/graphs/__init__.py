@@ -6,7 +6,6 @@ __all__ = [
     "Graph",
     "CSRGraph",
     "cached_csr",
-    "csr_enabled",
     "csr_view",
     "graph_fingerprint",
     "vertex_token",
@@ -32,7 +31,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".csr": ("CSRGraph", "cached_csr", "csr_enabled", "csr_view"),
+        ".csr": ("CSRGraph", "cached_csr", "csr_view"),
         ".graph": ("Graph", "graph_fingerprint", "vertex_token"),
         ".properties": (
             "degree_histogram",

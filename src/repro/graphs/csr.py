@@ -8,27 +8,20 @@ graph — contiguous integer vertex ids and flat ``indptr`` / ``indices`` /
 kernels index instead.  It is compiled once per graph, cached on the
 :class:`Graph` instance, and invalidated automatically by any mutation.
 
-Determinism contract (what makes the CSR kernels *bitwise-equivalent* to
-the dict kernels):
+Determinism contract (what makes every kernel run reproducible from a
+seed, whatever the backend):
 
-* vertex ids follow the graph's insertion order, so every loop that walks
-  ``graph.vertices()`` — gain initialization, RNG-driven vertex draws —
-  visits the same vertices in the same order on both paths;
-* :attr:`CSRGraph.rank` maps each id to the position of its label in
-  *sorted label order*.  The dict kernels' heaps break gain ties by
-  comparing labels; the CSR kernels break them by comparing ranks, which
-  orders identically.  When labels are not mutually comparable (the heaps
-  of the dict path would fail on a tie anyway) ``rank`` is ``None`` and
-  the label-ordering kernels fall back to the dict path.
-
-The ``REPRO_NO_CSR=1`` environment variable is the escape hatch: it
-disables every CSR fast path, which the equivalence test matrix uses to
-prove both paths produce identical cuts, assignments, and traces.
+* vertex ids follow the graph's insertion order, so every loop over ids
+  — gain initialization, RNG-driven vertex draws — visits the vertices
+  in ``graph.vertices()`` order;
+* :attr:`CSRGraph.rank` is the tie-break order of the KL and FM gain
+  queues (see :func:`label_ranks`): the position of each label in sorted
+  label order, or insertion order when the labels are not mutually
+  comparable (say, a mix of ints and strings).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Mapping
 from itertools import compress
@@ -40,21 +33,34 @@ __all__ = [
     "CSRGraph",
     "cached_csr",
     "csr_cut_weight",
-    "csr_enabled",
     "csr_move_gains",
     "csr_side_weights",
     "csr_view",
+    "label_ranks",
 ]
 
 
-def csr_enabled() -> bool:
-    """True unless the ``REPRO_NO_CSR`` escape hatch is active.
+def label_ranks(labels: list[Vertex]) -> tuple[list[int], list[int]]:
+    """``(rank, by_rank)``: the tie-break order of vertex ids.
 
-    Any non-empty value other than ``0`` disables the CSR fast paths.
-    Checked at kernel entry (not import time) so tests can flip it per
-    call.
+    ``by_rank`` lists the ids in sorted label order and ``rank`` inverts
+    it.  When the labels are not mutually comparable, ids keep insertion
+    order (``rank[i] == i``).
+
+    >>> label_ranks(["c", "a", "b"])
+    ([2, 0, 1], [1, 2, 0])
+    >>> label_ranks([1, "a", 0])
+    ([0, 1, 2], [0, 1, 2])
     """
-    return os.environ.get("REPRO_NO_CSR", "0") in ("", "0")
+    n = len(labels)
+    try:
+        by_rank = sorted(range(n), key=labels.__getitem__)
+    except TypeError:
+        by_rank = list(range(n))
+    rank = [0] * n
+    for position, i in enumerate(by_rank):
+        rank[i] = position
+    return rank, by_rank
 
 
 class CSRGraph:
@@ -121,19 +127,9 @@ class CSRGraph:
             if wd > max_wd:
                 max_wd = wd
 
-        try:
-            by_rank = sorted(range(n), key=labels.__getitem__)
-        except TypeError:
-            rank = by_rank = None  # labels not mutually comparable
-        else:
-            rank = [0] * n
-            for position, i in enumerate(by_rank):
-                rank[i] = position
-
         self.labels = labels
         self.index_of = index_of
-        self.rank = rank
-        self.by_rank = by_rank
+        self.rank, self.by_rank = label_ranks(labels)
         self.indptr = indptr
         self.indices = indices
         self.edge_weight = edge_weight

@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-from .csr import CSRGraph
+from .csr import CSRGraph, label_ranks
 from .graph import Graph
 
 __all__ = [
@@ -225,16 +225,7 @@ class SharedGraphSegment:
         csr = CSRGraph.__new__(CSRGraph)
         csr.labels = labels
         csr.index_of = {v: i for i, v in enumerate(labels)}
-        try:
-            by_rank = sorted(range(n), key=labels.__getitem__)
-        except TypeError:
-            csr.rank = csr.by_rank = None
-        else:
-            rank = [0] * n
-            for position, i in enumerate(by_rank):
-                rank[i] = position
-            csr.rank = rank
-            csr.by_rank = by_rank
+        csr.rank, csr.by_rank = label_ranks(labels)
         csr.indptr = indptr
         csr.indices = indices
         csr.edge_weight = edge_weight

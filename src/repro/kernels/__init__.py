@@ -1,40 +1,33 @@
 """Batch gain/flip kernels over the CSR arrays, behind a backend switch.
 
 The partition heuristics (:mod:`repro.partition.kl`,
-:mod:`repro.partition.fm`, :mod:`repro.partition.annealing.sa`) run their
-inner loops through one of three interchangeable *kernel backends*:
+:mod:`repro.partition.fm`, :mod:`repro.partition.annealing.sa`) each have
+one kernel over the cached :class:`~repro.graphs.csr.CSRGraph`; its batch
+stages run on one of two interchangeable *kernel backends*:
 
-``dict``
-    The label-keyed reference kernels that live with each heuristic.
-    Slowest, simplest, and the determinism anchor everything else is
-    checked against.
 ``array``
     Pure-stdlib kernels over the flat ``indptr`` / ``indices`` /
-    ``edge_weight`` buffers of the cached
-    :class:`~repro.graphs.csr.CSRGraph` (plain-list mirrors in the hot
-    loops, ``array('q')`` canonical storage).  The default.
+    ``edge_weight`` buffers (plain-list mirrors in the hot loops,
+    ``array('q')`` canonical storage).  The default.
 ``numpy``
     The array kernels with numpy used for the *batch* stages — gain
-    initialization via ``np.add.reduceat``, cut/side-weight recounts,
-    and bulk lagged-Fibonacci stream generation.  Falls back to
+    initialization via prefix-sum segment sums, cut/side-weight
+    recounts, and bulk lagged-Fibonacci stream generation.  Falls back to
     ``array`` when numpy is not installed; never changes a decision.
     numpy is imported on the first ``REPRO_KERNEL=numpy`` call, never by
-    importing this package, so the other backends do not pay for it.
+    importing this package, so the default backend does not pay for it.
 
-Every backend is held to the same contract the CSR equivalence matrix
-enforces: identical cuts, assignments, pass/temperature traces, and RNG
-stream consumption, bit for bit.  The switch is the ``REPRO_KERNEL``
-environment variable (checked at kernel entry, so tests flip it per
-call); ``REPRO_NO_CSR=1`` still forces the dict path everywhere, as
-before.
+Both backends are held to the seeded goldens of
+``tests/partition/test_csr_equivalence.py``: identical cuts,
+assignments, pass/temperature traces, and RNG stream consumption, bit
+for bit.  The switch is the ``REPRO_KERNEL`` environment variable,
+checked at kernel entry so tests flip it per call.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cache
-
-from ..graphs.csr import csr_enabled
 
 __all__ = [
     "BACKENDS",
@@ -44,7 +37,7 @@ __all__ = [
 ]
 
 KERNEL_ENV = "REPRO_KERNEL"
-BACKENDS = ("dict", "array", "numpy")
+BACKENDS = ("array", "numpy")
 
 @cache
 def numpy_available() -> bool:
@@ -61,15 +54,12 @@ def numpy_available() -> bool:
 
 
 def kernel_backend() -> str:
-    """The active kernel backend name (``dict`` | ``array`` | ``numpy``).
+    """The active kernel backend name (``array`` | ``numpy``).
 
-    ``REPRO_NO_CSR=1`` wins over everything (the historical escape hatch
-    disables all array kernels); ``REPRO_KERNEL=numpy`` silently degrades
-    to ``array`` when numpy is missing, so a config written on one host
-    stays valid on another.
+    An unknown name raises ``ValueError``.  ``REPRO_KERNEL=numpy``
+    silently degrades to ``array`` when numpy is missing, so a config
+    written on one host stays valid on another.
     """
-    if not csr_enabled():
-        return "dict"
     raw = os.environ.get(KERNEL_ENV, "array").strip().lower() or "array"
     if raw not in BACKENDS:
         raise ValueError(

@@ -1,14 +1,15 @@
 """The FM single-move sweep over the CSR arrays (bucket-list selection).
 
-The dict kernel's per-side lazy heaps become true O(1) *bucket lists*:
-``buckets[side][gain + B]`` holds a min-heap of label ranks (gains are
+Each side keeps O(1) *bucket lists* instead of a lazy heap:
+``buckets[side][gain + B]`` holds a min-heap of vertex ranks (gains are
 bounded by the maximum weighted degree ``B``, so ``2B + 1`` buckets
 always suffice).  A ``maxoff`` cursor per side tracks the highest
 possibly-occupied bucket; pushes raise it, selection walks it down.
 Walking offsets descending and popping ranks ascending visits fresh
-candidates in exactly the dict heaps' ``(-gain, label)`` order, so the
-first legal candidate found is the same vertex the dict kernel picks.
-A gain update is an O(1) bucket push instead of an O(log n) heap sift.
+candidates in ``(-gain, rank)`` order: highest gain first, ties to the
+lowest rank — sorted label order, or insertion order when labels are not
+mutually comparable.  A gain update is an O(1) bucket push instead of an
+O(log n) heap sift.
 
 Gain initialization goes through :mod:`repro.kernels.gains`, so the
 numpy backend batches it; the sweep itself is scalar on every backend
@@ -34,7 +35,13 @@ def fm_pass_csr(
     stats: dict | None = None,
     backend: str = "array",
 ) -> tuple[int, int]:
-    """One FM pass over the CSR arrays; decision-identical to the dict kernel."""
+    """One FM pass; mutates ``assignment``.  Returns ``(applied_gain, moves_kept)``.
+
+    "Balance" throughout is the deviation ``|w0 - w1 - target_diff|``;
+    ``target_diff = 0`` is the ordinary bisection case.  ``applied_gain``
+    is relative to the cut at pass entry and may be negative when the pass
+    was used to repair balance.
+    """
     n = csr.num_vertices
     labels = csr.labels
     rank = csr.rank
@@ -77,7 +84,7 @@ def fm_pass_csr(
     best_deviation = start_dev
     best_deviation_k = 0
     best_deviation_gain = 0
-    stale = 0  # obs only, as in the dict kernel
+    stale = 0  # obs only: superseded/locked entries discarded
     stashed = 0
 
     def next_allowed(side: int):
@@ -85,7 +92,7 @@ def fm_pass_csr(
 
         With uniform vertex weights every candidate on a side is equally
         (il)legal, so legality is one check per call; otherwise illegal
-        entries are stashed and restored, as in the dict kernel.
+        entries are stashed and restored.
         """
         nonlocal stale, stashed
         bks = buckets[side]
@@ -142,8 +149,8 @@ def fm_pass_csr(
         cand1 = next_allowed(1)
         if cand0 is None and cand1 is None:
             break
-        # The dict kernel compares only the gains across sides (labels never
-        # enter the cross-side comparison), so equal gains choose side 0.
+        # Across sides only the gains compare (ranks never enter), so
+        # equal gains choose side 0.
         if cand1 is None or (cand0 is not None and cand0[0] >= cand1[0]):
             chosen, other, side_v = cand0, cand1, 0
         else:

@@ -2,21 +2,21 @@
 
 Heap entries are single ints: ``key = (B - gain) * n + rank``, where B is
 the graph's maximum weighted degree (a bound on |gain| at all times) and
-rank orders ids by label.  Ascending int order is exactly ascending
-``(-gain, label)`` tuple order, so pops agree with the dict kernel entry
-for entry — at one machine-int comparison per sift instead of a tuple
-compare.
+``rank`` is the CSR view's tie-break order — sorted label order, or
+insertion order when labels are not mutually comparable.  Ascending int
+order is exactly ascending ``(-gain, rank)`` order: highest gain first,
+ties to the lowest rank, at one machine-int comparison per sift.
 
-Selection only has to *return* the same pair as the dict kernel, not pop
-the same entries: the chosen pair is a pure function of the current
-gains/locked state (argmax in (gain desc, label asc) scan order with
-strict improvement), and stale heap entries are inert until discarded.
-That freedom lets these kernels check the ``g_ab <= g_a + g_b`` bound
-*before* pulling another candidate, so on sparse graphs — where the two
-top candidates are usually not adjacent and therefore already optimal —
-a selection costs exactly two pops and one adjacency probe.
+The chosen pair is a pure function of the current gains/locked state
+(argmax in (gain desc, rank asc) scan order with strict improvement);
+which entries a selection pops does not matter, and stale heap entries
+are inert until discarded.  That freedom lets these kernels check the
+``g_ab <= g_a + g_b`` bound *before* pulling another candidate, so on
+sparse graphs — where the two top candidates are usually not adjacent
+and therefore already optimal — a selection costs exactly two pops and
+one adjacency probe.
 
-Two batch-level refinements over the previous in-module kernels:
+Two further refinements:
 
 * a ``curkey`` freshness array — ``curkey[v]`` is v's only live packed
   key (or -1 once locked), making the staleness test one list index and
@@ -25,8 +25,7 @@ Two batch-level refinements over the previous in-module kernels:
 * an allocation-free fast path for the two-pop selection (the common
   case the ``prune_hits`` counter measures): when the two top candidates
   are not adjacent, the pair is emitted without materializing candidate
-  lists or touching the pending queues.
-"""
+  lists or touching the pending queues."""
 
 from __future__ import annotations
 

@@ -15,14 +15,16 @@ Two details the paper's Section VII calls out are implemented here:
 * **schedule sensitivity** — every schedule knob is explicit (see
   :class:`~repro.partition.annealing.schedule.AnnealingSchedule`), and the
   ablation bench sweeps them.
+
+The walk runs over the graph's :class:`~repro.graphs.csr.CSRGraph` view
+(sweeps in :mod:`repro.kernels.sa`), for the flip neighborhood above and
+for the balance-preserving ``"swap"`` neighborhood alike.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-
 from operator import mul
 
 from ...graphs.csr import CSRGraph, csr_view
@@ -30,11 +32,11 @@ from ...graphs.graph import Graph
 from ...kernels import kernel_backend
 from ...kernels.gains import cut_weight as kernel_cut_weight
 from ...kernels.gains import side_weights as kernel_side_weights
-from ...kernels.sa import flip_walk
+from ...kernels.sa import flip_walk, swap_walk
 from ...obs import counter, gauge, histogram, obs_enabled, span
 from ...obs.metrics import RATIO_BUCKETS
 from ...rng import resolve_rng
-from ..bisection import Bisection, cut_weight, default_tolerance, rebalance, side_weights
+from ..bisection import Bisection, default_tolerance, rebalance
 from ..random_init import random_assignment
 from .cost import BalanceCost
 from .schedule import AnnealingSchedule, estimate_initial_temperature
@@ -82,32 +84,6 @@ class SAResult:
         return self.moves_accepted / self.moves_attempted
 
 
-def _sample_initial_temperature(
-    graph: Graph,
-    assignment: dict,
-    vertices: list,
-    cost: BalanceCost,
-    schedule: AnnealingSchedule,
-    rng: random.Random,
-) -> float:
-    """Estimate T0 from the uphill deltas of a burst of random trial moves."""
-    w0, w1 = side_weights(graph, assignment)
-    diff = w0 - w1
-    deltas = []
-    sample_size = min(max(200, graph.num_vertices), 4 * graph.num_vertices)
-    for _ in range(sample_size):
-        v = vertices[rng.randrange(len(vertices))]
-        side_v = assignment[v]
-        cut_delta = 0
-        for u, w in graph.neighbor_items(v):
-            cut_delta += w if assignment[u] == side_v else -w
-        signed_weight = graph.vertex_weight(v) if side_v == 0 else -graph.vertex_weight(v)
-        delta = cost.move_delta(cut_delta, diff, signed_weight)
-        if delta > 0:
-            deltas.append(delta)
-    return estimate_initial_temperature(deltas, schedule.initial_acceptance)
-
-
 def _sample_initial_temperature_csr(
     csr: CSRGraph,
     sides: list[int],
@@ -116,11 +92,11 @@ def _sample_initial_temperature_csr(
     schedule: AnnealingSchedule,
     rng: random.Random,
 ) -> float:
-    """CSR twin of :func:`_sample_initial_temperature`.
+    """Estimate T0 from the uphill deltas of a burst of random trial moves.
 
-    Consumes the same ``rng.randrange`` draws over the same insertion-order
-    vertex indexing and funnels each trial through ``cost.move_delta``
-    verbatim, so the estimated T0 is bit-identical to the dict path's.
+    Each trial flips ``rng.randrange(n)`` (an insertion-order id) and
+    prices the move through ``cost.move_delta``; the uphill deltas feed
+    :func:`~repro.partition.annealing.schedule.estimate_initial_temperature`.
     """
     n = csr.num_vertices
     sides_get = sides.__getitem__
@@ -138,81 +114,13 @@ def _sample_initial_temperature_csr(
             s1 = sum(map(sides_get, row))
         else:
             s1 = sum(map(mul, wts[i], map(sides_get, row)))
-        # cut_delta is (same-side weight) - (other-side weight), as in the
-        # dict kernel's accumulation.
+        # cut_delta is (same-side weight) - (other-side weight).
         cut_delta = wdeg[i] - 2 * s1 if sides[i] == 0 else 2 * s1 - wdeg[i]
         signed_weight = vweights[i] if sides[i] == 0 else -vweights[i]
         delta = cost.move_delta(cut_delta, diff, signed_weight)
         if delta > 0:
             deltas.append(delta)
     return estimate_initial_temperature(deltas, schedule.initial_acceptance)
-
-
-def _anneal_flip_csr(
-    graph: Graph,
-    assignment: dict,
-    rng: random.Random,
-    schedule: AnnealingSchedule,
-    cost: BalanceCost,
-    balance_tolerance: int,
-    record_trace: bool,
-    backend: str,
-) -> SAResult:
-    """The flip-neighborhood Metropolis walk over the CSR view.
-
-    Bit-identical to the dict loop in :func:`simulated_annealing`: vertex
-    ids follow insertion order so the index draws pick the same vertices,
-    the uniform draw is consumed under exactly the same condition
-    (``delta > 0``), and every decision float is computed from the same
-    expressions.  The sweep itself lives in :mod:`repro.kernels.sa`
-    (buffered lagged-Fibonacci stream, per-side penalty precompute,
-    per-temperature exp memo); this wrapper owns the framing — initial
-    state, T0 sampling, and the result envelope.
-    """
-    csr = csr_view(graph)
-    sides = csr.sides_list(assignment)
-
-    cut = kernel_cut_weight(csr, sides, backend)
-    initial_cut = cut
-    w0, w1 = kernel_side_weights(csr, sides, backend)
-    diff = w0 - w1
-    initial_imbalance = abs(diff)
-
-    temperature = _sample_initial_temperature_csr(csr, sides, diff, cost, schedule, rng)
-
-    walk = flip_walk(
-        csr,
-        sides,
-        cut,
-        diff,
-        temperature,
-        rng,
-        schedule,
-        cost.alpha,
-        balance_tolerance,
-        record_trace,
-        backend,
-    )
-
-    if walk.best_sides is None:
-        best_assignment = rebalance(
-            graph, csr.assignment_dict(walk.sides), balance_tolerance, rng
-        )
-    else:
-        best_assignment = csr.assignment_dict(walk.best_sides)
-
-    return SAResult(
-        bisection=Bisection(graph, best_assignment),
-        initial_cut=initial_cut,
-        temperatures=walk.temperatures,
-        moves_attempted=walk.attempted,
-        moves_accepted=walk.accepted,
-        final_temperature=walk.final_temperature,
-        initial_temperature=temperature,
-        temperature_trace=walk.trace,
-        balance_tolerance=balance_tolerance,
-        initial_imbalance=initial_imbalance,
-    )
 
 
 def simulated_annealing(
@@ -241,10 +149,9 @@ def simulated_annealing(
     ``record_trace=False`` skips collecting ``temperature_trace`` (the
     run itself is unaffected — the trace is purely diagnostic).
 
-    The flip neighborhood runs on the graph's CSR view when enabled
-    (``REPRO_NO_CSR=1`` disables): every decision is RNG- and
-    arithmetic-driven over the same insertion-order vertex indexing, so
-    the walk is bit-identical to the dict path's.
+    Both neighborhoods run on the graph's CSR view; every decision is
+    RNG- and arithmetic-driven over insertion-order vertex ids, so a seed
+    fixes the walk on every kernel backend.
     """
     with span("sa.run", vertices=graph.num_vertices, neighborhood=neighborhood):
         result = _simulated_annealing_impl(
@@ -304,130 +211,52 @@ def _simulated_annealing_impl(
     else:
         assignment = random_assignment(graph, rng)
 
+    # The sweeps live in repro.kernels.sa; this function owns the framing:
+    # initial state, T0 sampling, and the result envelope.
     backend = kernel_backend()
-    if neighborhood == "flip" and backend != "dict":
-        return _anneal_flip_csr(
-            graph, assignment, rng, schedule, cost, balance_tolerance, record_trace,
-            backend,
-        )
+    csr = csr_view(graph)
+    sides = csr.sides_list(assignment)
 
-    vertices = list(graph.vertices())
-    n = len(vertices)
-    weight = {v: graph.vertex_weight(v) for v in vertices}
-
-    cut = cut_weight(graph, assignment)
+    cut = kernel_cut_weight(csr, sides, backend)
     initial_cut = cut
-    w0, w1 = side_weights(graph, assignment)
+    w0, w1 = kernel_side_weights(csr, sides, backend)
     diff = w0 - w1
     initial_imbalance = abs(diff)
 
-    best_cut = cut if abs(diff) <= balance_tolerance else None
-    best_assignment = dict(assignment) if best_cut is not None else None
+    temperature = _sample_initial_temperature_csr(csr, sides, diff, cost, schedule, rng)
 
-    temperature = _sample_initial_temperature(graph, assignment, vertices, cost, schedule, rng)
-    initial_temperature = temperature
-    moves_per_temp = schedule.moves_per_temperature(n)
-    cutoff = schedule.acceptance_cutoff(n)
+    walk = (flip_walk if neighborhood == "flip" else swap_walk)(
+        csr,
+        sides,
+        cut,
+        diff,
+        temperature,
+        rng,
+        schedule,
+        cost.alpha,
+        balance_tolerance,
+        record_trace,
+        backend,
+    )
 
-    attempted = accepted = 0
-    temperatures = 0
-    stale = 0
-    trace: list[tuple[float, float, int]] = []
-
-    rand = rng.random
-    randrange = rng.randrange
-    alpha = cost.alpha
-
-    # Per-side vertex lists for the swap neighborhood (O(1) exchange).
-    side_lists: tuple[list, list] = ([], [])
-    if neighborhood == "swap":
-        for v in vertices:
-            side_lists[assignment[v]].append(v)
-        if not side_lists[0] or not side_lists[1]:
-            raise ValueError("swap neighborhood needs vertices on both sides")
-
-    def move_gain(v, side_v: int) -> int:
-        g = 0
-        for u, w in graph.neighbor_items(v):
-            g += w if assignment[u] == side_v else -w
-        return g
-
-    while not schedule.is_frozen(stale, temperature):
-        if temperatures >= schedule.max_temperatures:
-            break
-        accepted_here = 0
-        attempted_here = 0
-        improved_best = False
-        for _ in range(moves_per_temp):
-            if cutoff is not None and accepted_here >= cutoff:
-                break  # Johnson's cutoff: this temperature has equilibrated
-            attempted_here += 1
-            if neighborhood == "flip":
-                v = vertices[randrange(n)]
-                side_v = assignment[v]
-                cut_delta = move_gain(v, side_v)
-                wv = weight[v]
-                new_diff = diff - 2 * wv if side_v == 0 else diff + 2 * wv
-                delta = cut_delta + alpha * (new_diff * new_diff - diff * diff)
-                if delta <= 0 or rand() < math.exp(-delta / temperature):
-                    assignment[v] = 1 - side_v
-                    cut += cut_delta
-                    diff = new_diff
-                    accepted_here += 1
-                    if abs(diff) <= balance_tolerance and (
-                        best_cut is None or cut < best_cut
-                    ):
-                        best_cut = cut
-                        best_assignment = dict(assignment)
-                        improved_best = True
-            else:  # swap
-                i = randrange(len(side_lists[0]))
-                j = randrange(len(side_lists[1]))
-                a = side_lists[0][i]
-                b = side_lists[1][j]
-                cut_delta = move_gain(a, 0) + move_gain(b, 1) + 2 * graph.edge_weight(a, b)
-                new_diff = diff - 2 * weight[a] + 2 * weight[b]
-                delta = cut_delta + alpha * (new_diff * new_diff - diff * diff)
-                if delta <= 0 or rand() < math.exp(-delta / temperature):
-                    assignment[a] = 1
-                    assignment[b] = 0
-                    side_lists[0][i] = b
-                    side_lists[1][j] = a
-                    cut += cut_delta
-                    diff = new_diff
-                    accepted_here += 1
-                    if abs(diff) <= balance_tolerance and (
-                        best_cut is None or cut < best_cut
-                    ):
-                        best_cut = cut
-                        best_assignment = dict(assignment)
-                        improved_best = True
-        attempted += attempted_here
-        accepted += accepted_here
-        ratio = accepted_here / attempted_here if attempted_here else 0.0
-        if record_trace:
-            trace.append((temperature, ratio, cut))
-        temperatures += 1
-        if ratio < schedule.min_acceptance and not improved_best:
-            stale += 1
-        else:
-            stale = 0
-        temperature = schedule.next_temperature(temperature)
-
-    if best_assignment is None:
+    if walk.best_sides is None:
         # The walk never touched a balanced state (possible with a tiny
         # alpha); repair the final incumbent instead.
-        best_assignment = rebalance(graph, dict(assignment), balance_tolerance, rng)
+        best_assignment = rebalance(
+            graph, csr.assignment_dict(walk.sides), balance_tolerance, rng
+        )
+    else:
+        best_assignment = csr.assignment_dict(walk.best_sides)
 
     return SAResult(
         bisection=Bisection(graph, best_assignment),
         initial_cut=initial_cut,
-        temperatures=temperatures,
-        moves_attempted=attempted,
-        moves_accepted=accepted,
-        final_temperature=temperature,
-        initial_temperature=initial_temperature,
-        temperature_trace=trace,
+        temperatures=walk.temperatures,
+        moves_attempted=walk.attempted,
+        moves_accepted=walk.accepted,
+        final_temperature=walk.final_temperature,
+        initial_temperature=temperature,
+        temperature_trace=walk.trace,
         balance_tolerance=balance_tolerance,
         initial_imbalance=initial_imbalance,
     )

@@ -1,4 +1,4 @@
-"""Tests for the CSR-vs-dict perf harness and the ``perf`` CLI command."""
+"""Tests for the kernel-backend perf harness and the ``perf`` CLI command."""
 
 from __future__ import annotations
 
@@ -55,22 +55,21 @@ class TestMeasure:
         assert snapshot["size"] == 64
         assert snapshot["ok"] is True
         assert len(snapshot["cases"]) == 2
-        assert "array" in snapshot["backends"] and "dict" in snapshot["backends"]
+        assert snapshot["backends"][0] == "array"
+        assert "dict" not in snapshot["backends"]
         for case in snapshot["cases"]:
             assert set(case["algorithms"]) == set(PERF_ALGORITHMS)
             for cell in case["algorithms"].values():
                 assert cell["cuts_match"] is True
-                assert cell["array_seconds"] > 0
-                assert cell["dict_seconds"] > 0
-                assert cell["speedup"] == pytest.approx(
-                    cell["dict_seconds"] / cell["array_seconds"]
-                )
                 assert cell["moves"] >= 0
-                if "numpy" in snapshot["backends"]:
-                    assert cell["numpy_seconds"] > 0
-                    assert cell["speedup_numpy"] == pytest.approx(
-                        cell["dict_seconds"] / cell["numpy_seconds"]
+                for backend in snapshot["backends"]:
+                    assert cell[f"{backend}_seconds"] > 0
+                    assert cell[f"{backend}_moves_per_sec"] == pytest.approx(
+                        cell["moves"] / cell[f"{backend}_seconds"]
                     )
+                assert not any(
+                    key.startswith(("dict_", "speedup")) for key in cell
+                )
 
     def test_streaming_case_included_on_request(self):
         snapshot = _tiny_snapshot(algorithms=("kl",), streaming=True)
@@ -116,24 +115,24 @@ class TestSnapshotIO:
     def test_schema1_baselines_still_load_and_diff(self, tmp_path):
         # Committed BENCH_<n>.json files predate the per-backend columns;
         # they must keep working as --check baselines.
-        legacy = _synthetic({"kl": 2.0})
-        legacy["schema"] = 1
+        legacy = _legacy_schema1(_synthetic({"kl": 16}))
         path = tmp_path / "BENCH_500.json"
         path.write_text(json.dumps(legacy))
         loaded = load_snapshot(str(path))
-        report = diff_snapshots(loaded, _synthetic({"kl": 2.0}))
+        report = diff_snapshots(loaded, _synthetic({"kl": 16}))
         assert report["ok"]
         assert "Gbreg" in render_snapshot(loaded)
 
 
-def _synthetic(speedups):
-    """A snapshot with one case and the given {algo: speedup} cells."""
+def _synthetic(cuts, moves=100):
+    """A snapshot with one case and the given {algo: cut} cells."""
     return {
         "schema": SNAPSHOT_SCHEMA,
         "size": 500,
         "seed": 0,
         "sa_size_factor": 4,
         "repeats": 1,
+        "backends": ["array"],
         "ok": True,
         "cases": [
             {
@@ -143,57 +142,76 @@ def _synthetic(speedups):
                 "csr_compile_seconds": 0.001,
                 "algorithms": {
                     name: {
-                        "csr_seconds": 1.0 / s,
-                        "dict_seconds": 1.0,
-                        "speedup": s,
-                        "cut": 16,
-                        "moves": 100,
-                        "csr_moves_per_sec": 100 * s,
-                        "dict_moves_per_sec": 100.0,
+                        "array_seconds": 0.5,
+                        "array_moves_per_sec": moves / 0.5,
+                        "backends": ["array"],
+                        "cut": cut,
+                        "moves": moves,
                         "cuts_match": True,
                     }
-                    for name, s in speedups.items()
+                    for name, cut in cuts.items()
                 },
             }
         ],
     }
 
 
+def _legacy_schema1(snapshot):
+    """``snapshot`` in the schema-1 cell shape (csr/dict columns, speedup)."""
+    legacy = copy.deepcopy(snapshot)
+    legacy["schema"] = 1
+    legacy.pop("backends", None)
+    for case in legacy["cases"]:
+        for name, cell in case["algorithms"].items():
+            seconds = cell.get("array_seconds", 0.5)
+            case["algorithms"][name] = {
+                "csr_seconds": seconds,
+                "csr_moves_per_sec": cell["moves"] / seconds,
+                "dict_seconds": 3 * seconds,
+                "dict_moves_per_sec": cell["moves"] / (3 * seconds),
+                "speedup": 3.0,
+                "cut": cell["cut"],
+                "moves": cell["moves"],
+                "cuts_match": True,
+            }
+    return legacy
+
+
 class TestDiff:
     def test_identical_snapshots_pass(self):
-        snap = _synthetic({"kl": 2.0, "sa": 2.2})
+        snap = _synthetic({"kl": 16, "sa": 18})
         report = diff_snapshots(snap, snap)
         assert report["ok"]
-        assert report["regressions"] == []
+        assert report["mismatches"] == []
         assert len(report["compared"]) == 2
 
-    def test_regression_beyond_threshold_flagged(self):
-        old = _synthetic({"kl": 2.0, "sa": 2.0})
-        new = _synthetic({"kl": 1.4, "sa": 1.9})  # kl fell 30%, sa 5%
-        report = diff_snapshots(old, new, threshold=0.25)
+    def test_changed_cut_or_moves_flagged(self):
+        old = _synthetic({"kl": 16, "sa": 18, "fm": 20})
+        new = _synthetic({"kl": 17, "sa": 18, "fm": 20})
+        new["cases"][0]["algorithms"]["fm"]["moves"] = 101
+        report = diff_snapshots(old, new)
         assert not report["ok"]
-        assert [r["algorithm"] for r in report["regressions"]] == ["kl"]
-        assert "REGRESSED" in render_diff(report)
-
-    def test_threshold_is_relative_to_old_speedup(self):
-        old = _synthetic({"kl": 4.0})
-        exactly_at = _synthetic({"kl": 3.0})  # 4.0 * (1 - 0.25): not below
-        assert diff_snapshots(old, exactly_at, threshold=0.25)["ok"]
-        below = _synthetic({"kl": 2.99})
-        assert not diff_snapshots(old, below, threshold=0.25)["ok"]
+        assert [r["algorithm"] for r in report["mismatches"]] == ["fm", "kl"]
+        assert "MISMATCH" in render_diff(report)
 
     def test_machine_speed_cancels_out(self):
-        # A uniformly 3x slower machine leaves every ratio unchanged.
-        old = _synthetic({"kl": 2.0})
+        # Timings never fail the gate: a uniformly 3x slower run passes.
+        old = _synthetic({"kl": 16})
         slow = copy.deepcopy(old)
-        cell = slow["cases"][0]["algorithms"]["kl"]
-        cell["csr_seconds"] *= 3.0
-        cell["dict_seconds"] *= 3.0
+        slow["cases"][0]["algorithms"]["kl"]["array_seconds"] *= 3.0
         assert diff_snapshots(old, slow)["ok"]
 
+    @pytest.mark.parametrize("key", ["seed", "sa_size_factor"])
+    def test_different_seeded_workload_refused(self, key):
+        old = _synthetic({"kl": 16})
+        new = _synthetic({"kl": 16})
+        new[key] += 1
+        with pytest.raises(ValueError, match=key):
+            diff_snapshots(old, new)
+
     def test_missing_cells_reported_not_failed(self):
-        old = _synthetic({"kl": 2.0, "sa": 2.0})
-        new = _synthetic({"kl": 2.0})
+        old = _synthetic({"kl": 16, "sa": 18})
+        new = _synthetic({"kl": 16})
         report = diff_snapshots(old, new)
         assert report["ok"]
         assert report["missing"] == [
@@ -210,56 +228,78 @@ class TestObsFlag:
         assert _tiny_snapshot(algorithms=("kl",))["obs"] is False
 
     def test_diff_refuses_mixed_instrumentation(self):
-        old = _synthetic({"kl": 2.0})
-        new = _synthetic({"kl": 2.0})
+        old = _synthetic({"kl": 16})
+        new = _synthetic({"kl": 16})
         old["obs"] = True
         new["obs"] = False
         with pytest.raises(ValueError, match="refusing to diff perf snapshots"):
             diff_snapshots(old, new)
 
     def test_diff_accepts_matching_instrumentation(self):
-        old = _synthetic({"kl": 2.0})
-        new = _synthetic({"kl": 2.0})
+        old = _synthetic({"kl": 16})
+        new = _synthetic({"kl": 16})
         old["obs"] = new["obs"] = True
         assert diff_snapshots(old, new)["ok"]
 
     def test_legacy_snapshots_without_the_key_still_diff(self):
         # Committed BENCH_<n>.json baselines predate the obs key; a
         # snapshot that records it must still compare against them.
-        old = _synthetic({"kl": 2.0})  # no "obs" key
-        new = _synthetic({"kl": 2.0})
+        old = _synthetic({"kl": 16})  # no "obs" key
+        new = _synthetic({"kl": 16})
         new["obs"] = True
         assert diff_snapshots(old, new)["ok"]
         assert diff_snapshots(new, old)["ok"]
 
 
+_TINY = ["perf", "--size", "64", "--sa-size-factor", "1"]
+
+
 class TestCli:
     def test_perf_measure_and_self_check(self, tmp_path, capsys):
         out = tmp_path / "snapshots"
-        code = main(
-            ["perf", "--size", "64", "--sa-size-factor", "1",
-             "--out-dir", str(out)]
-        )
+        code = main([*_TINY, "--out-dir", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
-        assert "speedup" in stdout
+        assert "array(s)" in stdout and "moves" in stdout
         assert (out / "BENCH_64.json").exists()
-        # Re-checking against the snapshot we just wrote must pass; tiny
-        # graphs time noisily, so only gross regressions would fail here.
+        # Re-measuring reproduces every seeded cut and move count.
+        code = main([*_TINY, "--out-dir", str(tmp_path / "second"), "--check", str(out)])
+        assert code == 0
+        assert "all seeded cuts and moves match" in capsys.readouterr().out
+
+    def test_check_fails_on_altered_baseline_cut(self, tmp_path, capsys):
+        main([*_TINY, "--out-dir", str(tmp_path / "measured")])
+        baseline = load_snapshot(snapshot_path(str(tmp_path / "measured"), 64))
+        baseline["cases"][0]["algorithms"]["kl"]["cut"] += 1
+        write_snapshot(baseline, str(tmp_path / "baseline"))
+        capsys.readouterr()
         code = main(
-            ["perf", "--size", "64", "--sa-size-factor", "1", "--threshold",
-             "0.95", "--out-dir", str(tmp_path / "second"), "--check", str(out)]
+            [*_TINY, "--out-dir", str(tmp_path / "new"),
+             "--check", str(tmp_path / "baseline")]
+        )
+        assert code == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    def test_check_passes_unchanged_schema1_baseline(self, tmp_path, capsys):
+        main([*_TINY, "--out-dir", str(tmp_path / "measured")])
+        measured = load_snapshot(snapshot_path(str(tmp_path / "measured"), 64))
+        write_snapshot(_legacy_schema1(measured), str(tmp_path / "baseline"))
+        assert load_snapshot(snapshot_path(str(tmp_path / "baseline"), 64))["schema"] == 1
+        code = main(
+            [*_TINY, "--out-dir", str(tmp_path / "new"),
+             "--check", str(tmp_path / "baseline")]
         )
         assert code == 0
+        assert "all seeded cuts and moves match" in capsys.readouterr().out
 
     def test_perf_diff_detects_regression(self, tmp_path, capsys):
         old_dir, new_dir = tmp_path / "old", tmp_path / "new"
-        write_snapshot(_synthetic({"kl": 3.0}), str(old_dir))
-        write_snapshot(_synthetic({"kl": 1.0}), str(new_dir))
+        write_snapshot(_synthetic({"kl": 16}), str(old_dir))
+        write_snapshot(_synthetic({"kl": 18}), str(new_dir))
         old_path = snapshot_path(str(old_dir), 500)
         new_path = snapshot_path(str(new_dir), 500)
         assert main(["perf", "--diff", old_path, new_path]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        assert "MISMATCH" in capsys.readouterr().out
         assert main(["perf", "--diff", old_path, old_path]) == 0
 
     def test_perf_diff_bad_file(self, tmp_path, capsys):

@@ -28,35 +28,34 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not instal
 class TestBackendSwitch:
     def test_default_is_array(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         assert kernel_backend() == "array"
 
     def test_explicit_names(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
-        for name in ("dict", "array"):
+        for name in BACKENDS:
             monkeypatch.setenv("REPRO_KERNEL", name)
-            assert kernel_backend() == name
+            expected = name if name != "numpy" or numpy_available() else "array"
+            assert kernel_backend() == expected
 
     def test_whitespace_and_case_normalized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         monkeypatch.setenv("REPRO_KERNEL", "  Array ")
         assert kernel_backend() == "array"
         monkeypatch.setenv("REPRO_KERNEL", "")
         assert kernel_backend() == "array"
 
-    def test_no_csr_escape_hatch_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CSR", "1")
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert kernel_backend() == "dict"
-
     def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         monkeypatch.setenv("REPRO_KERNEL", "cuda")
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
             kernel_backend()
 
+    def test_retired_dict_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "dict")
+        with pytest.raises(ValueError, match="REPRO_KERNEL") as excinfo:
+            kernel_backend()
+        message = str(excinfo.value)
+        assert "'array'" in message and "'numpy'" in message
+        assert "'dict'" in message.split("got")[-1]
+
     def test_numpy_selects_or_degrades(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
         expected = "numpy" if numpy_available() else "array"
         assert kernel_backend() == expected
@@ -71,7 +70,7 @@ class TestBackendSwitch:
             numpy_available.cache_clear()
 
     def test_backends_tuple_is_the_contract(self):
-        assert BACKENDS == ("dict", "array", "numpy")
+        assert BACKENDS == ("array", "numpy")
 
 
 def _warmed_rng(seed: int, burn: int = 7) -> LaggedFibonacciRandom:

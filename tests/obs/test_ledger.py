@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.kernels import kernel_backend
 from repro.obs import (
     LEDGER_SCHEMA,
     build_ledger,
@@ -40,7 +41,8 @@ class TestBuildLedger:
         assert ledger["schema"] == LEDGER_SCHEMA
         assert ledger["kind"] == "ledger"
         assert ledger["env"]["obs"] is True
-        assert isinstance(ledger["env"]["csr"], bool)
+        assert ledger["env"]["kernel"] == kernel_backend()
+        assert "csr" not in ledger["env"]
         assert ledger["argv"] == ["table", "gbreg-d3"]
         assert ledger["counters"] == {"kl_swaps_total": 10}
         assert ledger["gauges"]["compaction_ratio"] == 0.5

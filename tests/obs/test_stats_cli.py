@@ -78,6 +78,17 @@ class TestStatsValidate:
         assert main(["stats", path, "--validate"]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_ledger_with_csr_flag_instead_of_kernel_passes(self, tmp_path, capsys):
+        # Older ledgers recorded env.csr (always true now) and no env.kernel.
+        path = _ledger_file(tmp_path, "a.json", swaps=1)
+        ledger = json.loads(open(path).read())
+        del ledger["env"]["kernel"]
+        ledger["env"]["csr"] = True
+        with open(path, "w") as stream:
+            json.dump(ledger, stream)
+        assert main(["stats", path, "--validate"]) == 0
+        assert "valid" in capsys.readouterr().out
+
     def test_invalid_ledger_exits_1(self, tmp_path, capsys):
         path = _ledger_file(tmp_path, "a.json", swaps=1)
         ledger = json.loads(open(path).read())

@@ -149,8 +149,8 @@ class TestKLWeighted:
 class TestKLSelectionCorrectness:
     """The pruned-heap selection must pick a true max-gain pair.
 
-    This targets the trickiest code in the package: `_select_pair`'s
-    early-termination bound.  We reconstruct the first selected pair of a
+    This targets the trickiest code in the package: the early-termination
+    bound of the pair selection in `repro.kernels.kl`.  We reconstruct the first selected pair of a
     pass and compare its gain against a brute-force argmax over all cross
     pairs.
     """
