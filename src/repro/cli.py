@@ -45,1386 +45,62 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import replace
-from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .engine.executor import Engine
+from importlib import import_module
 
 __all__ = ["main"]
 
-# Subcommand handlers import what they run inside their bodies, so a
-# process loads only the modules of the one command it executes.
-
-# Graph bisectors exposed on `run` (all resolved through the engine registry).
-_GRAPH_ALGORITHMS = ("ckl", "csa", "cycles", "fm", "greedy", "kl", "multilevel", "sa")
-
-# Paper tables: name -> (case builder in repro.bench.workloads, its extra args).
-_TABLES = {
-    "gbreg-d3": ("gbreg_cases", 3),
-    "gbreg-d4": ("gbreg_cases", 4),
-    "g2set-2.5": ("g2set_cases", 2.5),
-    "g2set-3": ("g2set_cases", 3.0),
-    "g2set-3.5": ("g2set_cases", 3.5),
-    "g2set-4": ("g2set_cases", 4.0),
-    "gnp": ("gnp_cases",),
-    "ladder": ("ladder_cases",),
-    "grid": ("grid_cases",),
-    "btree": ("btree_cases",),
+#: Every subcommand, in help order -> its module under :mod:`repro.commands`,
+#: which holds the handler and an ``add_<command>_parser(sub)`` function.
+#: A process imports only the module of the command it runs, and handlers
+#: import what they execute inside their bodies.
+_COMMANDS = {
+    "generate": "graphs",
+    "run": "run",
+    "kway": "graphs",
+    "score": "graphs",
+    "netlist": "netlist",
+    "report": "bench",
+    "table": "bench",
+    "batch": "bench",
+    "info": "graphs",
+    "perf": "bench",
+    "stats": "observe",
+    "trace": "observe",
+    "top": "observe",
+    "check": "check",
+    "lint": "lint",
+    "serve": "service",
+    "repl": "service",
+    "load": "service",
+    "cache": "observe",
+    "study": "study",
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0")
-    return value
-
-
-def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ledger", metavar="PATH",
-        help="write a run ledger (counters, spans, env) after the command; "
-        "'auto' content-addresses it next to the result cache",
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH",
-        help="sample this process during the command and write a "
-        "collapsed-stack profile (flamegraph.pl / speedscope format); "
-        "REPRO_PROFILE=1 opts in without the flag",
-    )
-
-
-def _add_engine_options(parser: argparse.ArgumentParser, cache: bool = True) -> None:
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the execution engine (1 = serial)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        help="append engine telemetry events (and trace spans) to this JSONL file",
-    )
-    _add_obs_options(parser)
-    if cache:
-        parser.add_argument(
-            "--no-cache", action="store_true", help="disable the result cache"
-        )
-        parser.add_argument(
-            "--cache-dir",
-            help="result cache directory (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro-bisect)",
-        )
-
-
-def _make_engine(
-    args: argparse.Namespace,
-    cache: bool = True,
-    timeout: float | None = None,
-    retries: int = 0,
-) -> Engine:
-    from .engine.cache import ResultCache
-    from .engine.executor import Engine
-    from .engine.telemetry import Telemetry
-
-    store = None
-    if cache and not getattr(args, "no_cache", False):
-        store = ResultCache(getattr(args, "cache_dir", None))
-    return Engine(
-        jobs=args.jobs,
-        cache=store,
-        telemetry=Telemetry(getattr(args, "telemetry", None)),
-        timeout=timeout,
-        retries=retries,
-    )
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    from .graphs.generators import (
-        binary_tree,
-        g2set,
-        gbreg,
-        gnp,
-        grid_graph,
-        ladder_graph,
-    )
-    from .graphs.io import write_edge_list
-
-    if args.model == "gbreg":
-        graph = gbreg(args.vertices, args.width, args.degree, args.seed).graph
-    elif args.model == "g2set":
-        graph = g2set(args.vertices, args.p, args.p, args.width, args.seed).graph
-    elif args.model == "gnp":
-        graph = gnp(args.vertices, args.p, args.seed)
-    elif args.model == "ladder":
-        graph = ladder_graph(args.vertices // 2)
-    elif args.model == "grid":
-        side = int(round(args.vertices**0.5))
-        graph = grid_graph(side, side)
-    elif args.model == "btree":
-        graph = binary_tree(args.vertices)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.model)
-    write_edge_list(graph, args.out)
-    print(f"wrote {graph!r} to {args.out}")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .engine.job import AlgorithmSpec, Job
-    from .graphs.io import read_edge_list
-    from .rng import derive_seed, resolve_rng
-
-    graph = read_edge_list(args.graph)
-    spec = AlgorithmSpec.make(args.algorithm)
-    engine = _make_engine(args, cache=False)
-    if args.starts > 1:
-        # Best-of-R protocol: start seeds derive from the master seed
-        # exactly as the bench harness derives them.
-        master = resolve_rng(args.seed)
-        jobs = [
-            Job("graph", spec, derive_seed(master, index), job_id=f"start{index}")
-            for index in range(args.starts)
-        ]
-    else:
-        jobs = [Job("graph", spec, args.seed, job_id="run")]
-    results = engine.run(jobs, {"graph": graph})
-    good = [r for r in results if r.ok]
-    if not good:
-        print(f"{args.algorithm}: all {len(results)} start(s) failed "
-              f"({results[0].error})", file=sys.stderr)
-        return 1
-    best = min(good, key=lambda r: r.cut)
-    bisection = best.bisection(graph)
-    elapsed = sum(r.seconds for r in results)
-    print(
-        f"{args.algorithm}: cut={bisection.cut} imbalance={bisection.imbalance} "
-        f"time={elapsed:.3f}s |V|={graph.num_vertices} |E|={graph.num_edges}"
-    )
-    if args.starts > 1:
-        print(f"starts: {len(results)}  cuts: {[r.cut for r in results]}")
-    if args.certify:
-        from .partition.bounds import certify
-
-        report = certify(graph, bisection.cut)
-        print(
-            f"lower bound: {report['lower']:.2f}  gap ratio: {report['gap_ratio']:.2f}"
-            + ("  (provably optimal)" if report["optimal"] else "")
-        )
-    if args.save_partition:
-        from .partition.io import write_partition
-
-        write_partition(bisection, args.save_partition)
-        print(f"saved partition to {args.save_partition}")
-    if args.show_sides:
-        print("side 0:", sorted(map(str, bisection.side(0))))
-        print("side 1:", sorted(map(str, bisection.side(1))))
-    return 0
-
-
-def _cmd_kway(args: argparse.Namespace) -> int:
-    from .engine.telemetry import Timer
-    from .graphs.io import read_edge_list
-    from .partition.kway import recursive_kway
-
-    graph = read_edge_list(args.graph)
-    with Timer() as timer:
-        partition = recursive_kway(graph, args.k, rng=args.seed)
-    weights = partition.part_weights()
-    print(
-        f"k={args.k}: cut={partition.cut} part_weights={weights} "
-        f"imbalance_ratio={partition.max_imbalance_ratio():.3f} time={timer.seconds:.3f}s"
-    )
-    if args.save_partition:
-        from .partition.io import write_partition
-
-        write_partition(partition, args.save_partition)
-        print(f"saved partition to {args.save_partition}")
-    return 0
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    """Score a saved partition file against its graph."""
-    from .graphs.io import read_edge_list
-    from .partition.io import read_partition
-
-    graph = read_edge_list(args.graph)
-    partition = read_partition(graph, args.partition)
-    weights = partition.part_weights()
-    print(
-        f"k={partition.k}: cut={partition.cut} part_weights={weights} "
-        f"imbalance_ratio={partition.max_imbalance_ratio():.3f}"
-    )
-    if partition.k == 2 and args.certify:
-        from .partition.bounds import certify
-
-        report = certify(graph, partition.cut)
-        print(
-            f"lower bound: {report['lower']:.2f}  gap ratio: {report['gap_ratio']:.2f}"
-            + ("  (provably optimal)" if report["optimal"] else "")
-        )
-    return 0
-
-
-def _cmd_netlist(args: argparse.Namespace) -> int:
-    from .engine.telemetry import Timer
-    from .hypergraph import (
-        compacted_hypergraph_fm,
-        hypergraph_fm,
-        multilevel_hypergraph_fm,
-        random_netlist,
-        read_hmetis,
-        write_hmetis,
-    )
-
-    if args.action == "generate":
-        netlist = random_netlist(args.cells, clusters=args.clusters, rng=args.seed)
-        write_hmetis(netlist, args.file)
-        print(f"wrote {netlist!r} to {args.file}")
-        return 0
-
-    netlist = read_hmetis(args.file)
-    if args.k > 2:
-        from .hypergraph.kway import recursive_kway_hypergraph
-
-        with Timer() as timer:
-            partition = recursive_kway_hypergraph(netlist, args.k, rng=args.seed)
-        print(
-            f"kway k={args.k}: cut_nets={partition.cut_nets} "
-            f"connectivity-1={partition.connectivity_minus_one} "
-            f"part_weights={partition.part_weights()} time={timer.seconds:.3f}s"
-        )
-        return 0
-    runners = {
-        "fm": hypergraph_fm,
-        "cfm": compacted_hypergraph_fm,
-        "multilevel": multilevel_hypergraph_fm,
-    }
-    with Timer() as timer:
-        result = runners[args.algorithm](netlist, rng=args.seed)
-    bisection = result.bisection
-    print(
-        f"{args.algorithm}: net_cut={bisection.cut} imbalance={bisection.imbalance} "
-        f"time={timer.seconds:.3f}s |V|={netlist.num_vertices} |N|={netlist.num_nets}"
-    )
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .bench.report import generate_report
-    from .bench.workloads import current_scale
-
-    scale = current_scale()
-    engine = _make_engine(args)
-    text = generate_report(
-        scale, rng=args.seed, include_sa=not args.kl_only, engine=engine
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(text + "\n")
-        print(f"wrote report to {args.out}")
-    else:
-        print(text)
-    return 0
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    from .bench import workloads
-    from .bench.runner import run_workload
-    from .bench.tables import render_paper_table
-
-    scale = workloads.current_scale()
-    builder, *extra = _TABLES[args.table]
-    cases = getattr(workloads, builder)(scale, *extra)
-    include_sa = not args.kl_only
-    algorithms = workloads.standard_algorithm_specs(scale, include_sa=include_sa)
-    engine = _make_engine(args)
-    rows = run_workload(
-        cases, algorithms, rng=args.seed, starts=scale.starts, engine=engine
-    )
-    pairs = (("sa", "csa"), ("kl", "ckl")) if include_sa else (("kl", "ckl"),)
-    print(
-        render_paper_table(
-            f"table {args.table} @ scale={scale.name}", rows, base_pairs=pairs
-        )
-    )
-    print(engine.telemetry.render_summary())
-    return 0
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    from .bench.tables import render_generic_table
-    from .engine.batch import read_batch_file, run_batch
-
-    try:
-        entries = read_batch_file(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read batch spec {args.spec}: {exc}", file=sys.stderr)
-        return 1
-    if not entries:
-        print("batch spec has no jobs", file=sys.stderr)
-        return 1
-    engine = _make_engine(args, timeout=args.timeout, retries=args.retries)
-    try:
-        rows = run_batch(entries, engine)
-    except OSError as exc:  # a spec entry names an unreadable graph file
-        print(f"batch failed: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            for row in rows:
-                stream.write(json.dumps(row, sort_keys=True) + "\n")
-        print(f"wrote {len(rows)} result(s) to {args.out}")
-    print(
-        render_generic_table(
-            ["label", "algorithm", "status", "cut", "time(s)", "cached"],
-            [
-                [
-                    row["label"],
-                    row["algorithm"],
-                    row["status"],
-                    "-" if row["cut"] is None else row["cut"],
-                    f"{row['seconds']:.2f}",
-                    f"{row['cache_hits']}/{row['starts']}",
-                ]
-                for row in rows
-            ],
-            title=f"batch {args.spec}",
-        )
-    )
-    print(engine.telemetry.render_summary())
-    return 0 if all(row["status"] == "ok" for row in rows) else 1
-
-
-def _cmd_info(args: argparse.Namespace) -> int:
-    from .graphs.graph import graph_fingerprint
-    from .graphs.io import read_edge_list
-    from .graphs.traversal import connected_components
-
-    graph = read_edge_list(args.graph)
-    print(f"path: {args.graph}")
-    print(f"fingerprint: {graph_fingerprint(graph)}")
-    print(f"vertices: {graph.num_vertices}")
-    print(f"edges: {graph.num_edges}")
-    print(f"total edge weight: {graph.total_edge_weight}")
-    print(f"total vertex weight: {graph.total_vertex_weight}")
-    print(f"average degree: {graph.average_degree():.3f}")
-    print(f"connected components: {len(connected_components(graph))}")
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .bench.perf import (
-        PERF_SIZES,
-        SMALL_SIZES,
-        diff_snapshots,
-        load_snapshot,
-        measure_size,
-        render_diff,
-        render_snapshot,
-        snapshot_path,
-        write_snapshot,
-    )
-
-    if args.diff:
-        old_path, new_path = args.diff
-        try:
-            report = diff_snapshots(load_snapshot(old_path), load_snapshot(new_path))
-        except (OSError, ValueError) as exc:
-            print(f"cannot diff snapshots: {exc}", file=sys.stderr)
-            return 2
-        print(render_diff(report))
-        return 0 if report["ok"] else 1
-
-    sizes = args.size or (SMALL_SIZES if args.small else PERF_SIZES)
-    exit_code = 0
-    for two_n in sizes:
-        snapshot = measure_size(
-            two_n,
-            seed=args.seed,
-            sa_size_factor=args.sa_size_factor,
-            repeats=args.repeats,
-        )
-        print(render_snapshot(snapshot))
-        if not snapshot["ok"]:
-            print(
-                f"2n={two_n}: kernel backends disagree (see 'match' column)",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        path = write_snapshot(snapshot, args.out_dir)
-        print(f"wrote {path}")
-        if args.check:
-            baseline_path = snapshot_path(args.check, two_n)
-            try:
-                baseline = load_snapshot(baseline_path)
-            except OSError:
-                print(f"no baseline {baseline_path}; skipping diff", file=sys.stderr)
-                continue
-            except ValueError as exc:
-                print(f"bad baseline: {exc}", file=sys.stderr)
-                exit_code = 1
-                continue
-            try:
-                report = diff_snapshots(baseline, snapshot)
-            except ValueError as exc:
-                print(f"cannot diff against baseline: {exc}", file=sys.stderr)
-                exit_code = 1
-                continue
-            print(render_diff(report))
-            if not report["ok"]:
-                exit_code = 1
-    return exit_code
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from .bench.tables import render_generic_table
-    from .obs import (
-        diff_ledgers,
-        ledger_dir,
-        load_ledger,
-        render_ledger,
-        render_ledger_diff,
-        render_ledger_prometheus,
-        validate_ledger,
-    )
-
-    if args.diff:
-        old_path, new_path = args.diff
-        try:
-            report = diff_ledgers(load_ledger(old_path), load_ledger(new_path))
-        except (OSError, ValueError) as exc:
-            print(f"cannot diff ledgers: {exc}", file=sys.stderr)
-            return 2
-        print(render_ledger_diff(report))
-        return 0
-
-    if not args.ledgers:
-        # No arguments: list what the ledger directory holds.
-        directory = ledger_dir()
-        rows = []
-        for path in sorted(directory.glob("*.json")) if directory.is_dir() else []:
-            try:
-                ledger = load_ledger(path)
-            except (OSError, ValueError):
-                continue
-            rows.append(
-                [
-                    path.name,
-                    ledger.get("run_id", "?"),
-                    " ".join(ledger.get("argv", []))[:48] or "-",
-                    f"{ledger.get('wall_seconds', 0.0):.2f}",
-                ]
-            )
-        if not rows:
-            print(f"no ledgers under {directory} (record one with --ledger auto)")
-            return 0
-        print(
-            render_generic_table(
-                ["file", "run id", "argv", "wall(s)"],
-                rows,
-                title=f"ledgers in {directory}",
-            )
-        )
-        return 0
-
-    exit_code = 0
-    for index, path in enumerate(args.ledgers):
-        try:
-            ledger = load_ledger(path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read ledger {path}: {exc}", file=sys.stderr)
-            exit_code = 2
-            continue
-        if args.validate:
-            violations = validate_ledger(ledger)
-            if violations:
-                for violation in violations:
-                    print(f"{path}: {violation}", file=sys.stderr)
-                exit_code = exit_code or 1
-            else:
-                print(f"{path}: valid")
-            continue
-        if index:
-            print()
-        if args.prometheus:
-            print(render_ledger_prometheus(ledger), end="")
-        else:
-            print(render_ledger(ledger))
-    return exit_code
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs.timeline import (
-        export_chrome_trace,
-        read_event_records,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
-
-    try:
-        records = read_event_records(args.events)
-    except OSError as exc:
-        print(f"cannot read {args.events}: {exc}", file=sys.stderr)
-        return 2
-    if not records:
-        print(f"{args.events}: no envelope records found", file=sys.stderr)
-        return 1
-    document = export_chrome_trace(records)
-    violations = validate_chrome_trace(document)
-    if violations:
-        for violation in violations:
-            print(f"trace: {violation}", file=sys.stderr)
-        return 1
-    other = document["otherData"]
-    lanes = sum(1 for e in document["traceEvents"] if e.get("ph") == "M")
-    path = write_chrome_trace(document, args.out)
-    print(
-        f"wrote {path} ({other['spans']} spans, {other['events']} events, "
-        f"{lanes} lane(s)) — load it at https://ui.perfetto.dev"
-    )
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import run_top
-
-    return run_top(
-        events=args.events,
-        url=args.url,
-        interval=args.interval,
-        once=args.once,
-        frames=args.frames,
-    )
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .engine import algorithm_names
-    from .verify import DEFAULT_FAMILIES, run_check
-
-    known = set(algorithm_names())
-    unknown = sorted(set(args.algorithm or []) - known)
-    if unknown:
-        print(
-            f"unknown algorithm(s): {', '.join(unknown)} "
-            f"(registered: {', '.join(sorted(known))})",
-            file=sys.stderr,
-        )
-        return 2
-    bad_families = sorted(set(args.family or []) - set(DEFAULT_FAMILIES))
-    if bad_families:
-        print(
-            f"unknown corpus family(s): {', '.join(bad_families)} "
-            f"(known: {', '.join(DEFAULT_FAMILIES)})",
-            file=sys.stderr,
-        )
-        return 2
-    families = tuple(args.family) if args.family else DEFAULT_FAMILIES
-    if args.quick:
-        sizes: tuple[int, ...] = (10,)
-        seeds: tuple[int, ...] = (0,)
-    else:
-        sizes = (10, 16)
-        seeds = tuple(range(args.seeds))
-    report = run_check(
-        algorithms=args.algorithm or None,
-        families=families,
-        sizes=sizes,
-        seeds=seeds,
-        include_exact=not args.no_exact,
-        include_metamorphic=not args.no_metamorphic,
-        jobs=args.jobs,
-    )
-    print(report.render(verbose=args.verbose))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0 if report.ok else 1
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import (
-        AnalysisConfig,
-        default_baseline_path,
-        default_config,
-        render_json,
-        render_text,
-        to_sarif,
-        update_baseline,
-        valid_rule_ids,
-    )
-    from .analysis.lintcache import run_cached_analysis
-    from .analysis.runner import analyze
-
-    if args.root:
-        config = AnalysisConfig(root=Path(args.root))
-    else:
-        config = default_config()
-    rule_ids: list[str] = []
-    for chunk in args.rule or []:
-        rule_ids.extend(part.strip() for part in chunk.split(",") if part.strip())
-    if rule_ids:
-        unknown = sorted(set(rule_ids) - set(valid_rule_ids()))
-        if unknown:
-            print(
-                f"unknown rule id(s): {', '.join(unknown)} "
-                f"(valid: {', '.join(valid_rule_ids())})",
-                file=sys.stderr,
-            )
-            return 2
-        config = replace(config, rules=tuple(rule_ids))
-    if args.dry_run and not args.fix:
-        print("--dry-run only makes sense with --fix", file=sys.stderr)
-        return 2
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline_path()
-
-    if args.update_baseline:
-        from .analysis import Baseline
-
-        findings, _, _ = analyze(config)
-        baseline = update_baseline(findings, Baseline.load(baseline_path))
-        baseline.save(baseline_path)
-        todo = sum(1 for e in baseline.entries if e.problem())
-        print(f"wrote {baseline_path} ({len(baseline.entries)} entries, {todo} needing justification)")
-        return 0
-
-    result, stats = run_cached_analysis(
-        config, baseline_path, use_cache=not args.no_cache
-    )
-    if stats.enabled:
-        print(stats.describe(), file=sys.stderr)
-    if args.cache_stats:
-        with open(args.cache_stats, "w", encoding="utf-8") as handle:
-            json.dump(stats.to_json(), handle, indent=2)
-            handle.write("\n")
-
-    if args.fix:
-        from .analysis.fixes import plan_fixes
-
-        plan = plan_fixes(config, result.findings)
-        summary = (
-            f"{plan.fixed_count} finding(s) auto-fixable in "
-            f"{len(plan.modules)} file(s); {len(plan.skipped)} left for a human"
-        )
-        if args.dry_run:
-            sys.stdout.write(plan.diff())
-            print(f"dry run: {summary}")
-            return 0
-        touched = plan.apply()
-        for rel in touched:
-            print(f"rewrote {rel}")
-        print(f"applied: {summary}")
-        return 0
-
-    if args.format == "sarif":
-        sarif = to_sarif(
-            result.findings,
-            result.suppressed_with_justifications(),
-            result.rules,
-        )
-        text = json.dumps(sarif, indent=2)
-    elif args.format == "json":
-        text = render_json(
-            result.findings,
-            result.suppressed,
-            result.stale,
-            result.baseline_problems,
-            result.modules_scanned,
-        )
-    else:
-        text = render_text(
-            result.findings,
-            result.suppressed,
-            result.stale,
-            result.baseline_problems,
-            result.modules_scanned,
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    if args.check and not result.ok:
-        return 1
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .engine.cache import ResultCache
-    from .engine.telemetry import Telemetry
-    from .service import make_server
-
-    store = None if args.no_cache else ResultCache(getattr(args, "cache_dir", None))
-    api_keys = None
-    if args.api_keys:
-        try:
-            with open(args.api_keys, encoding="utf-8") as stream:
-                api_keys = json.load(stream)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read API key table {args.api_keys}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(api_keys, dict):
-            print(f"{args.api_keys}: expected a JSON object of key -> tenant spec",
-                  file=sys.stderr)
-            return 2
-    server = make_server(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache=store,
-        telemetry=Telemetry(getattr(args, "telemetry", None)),
-        api_keys=api_keys,
-        quiet=not args.verbose,
-        default_timeout=args.timeout,
-        default_retries=args.retries,
-        max_inflight=args.max_inflight,
-        max_graphs=args.max_graphs,
-    )
-    cache_note = "off" if store is None else str(store.root)
-    tenancy = "open (no API keys)" if api_keys is None else f"{len(api_keys)} tenant(s)"
-    print(f"serving on {server.url}")
-    print(f"workers: {args.workers}  cache: {cache_note}  tenancy: {tenancy}")
-    print("endpoints: /v1/health /v1/graphs /v1/jobs /v1/results /metrics "
-          "(Ctrl-C stops)")
-    try:
-        server.serve_forever()
-    finally:
-        # Runs on Ctrl-C too: stop accepting, drain the worker pool, then
-        # let the KeyboardInterrupt propagate to main() for exit code 130.
-        server.close()
-    return 0
-
-
-def _cmd_repl(args: argparse.Namespace) -> int:
-    from .service import run_repl
-
-    return run_repl(sys.stdin, sys.stdout)
-
-
-def _cmd_load(args: argparse.Namespace) -> int:
-    from .service import render_load_report, run_load
-
-    generator_params = {
-        "vertices": args.vertices,
-        "width": args.width,
-        "degree": args.degree,
-        "seed": args.graph_seed,
-    }
-    if args.url:
-        report = run_load(
-            args.url,
-            requests=args.requests,
-            concurrency=args.concurrency,
-            rounds=args.rounds,
-            algorithm=args.algorithm,
-            distinct_seeds=args.distinct_seeds,
-            generator_params=generator_params,
-            api_key=args.api_key,
-            job_timeout=args.job_timeout,
-        )
-    else:
-        # No --url: boot an in-process server on an ephemeral port and
-        # load-test that, so the command is self-contained.
-        from .engine.cache import ResultCache
-        from .engine.telemetry import Telemetry
-        from .service import ServiceThread
-
-        store = None if args.no_cache else ResultCache(getattr(args, "cache_dir", None))
-        with ServiceThread(
-            workers=args.workers, cache=store,
-            telemetry=Telemetry(getattr(args, "telemetry", None)),
-            max_inflight=max(64, 2 * args.concurrency),
-        ) as service:
-            print(f"self-serving on {service.url} ({args.workers} worker(s))")
-            report = run_load(
-                service.url,
-                requests=args.requests,
-                concurrency=args.concurrency,
-                rounds=args.rounds,
-                algorithm=args.algorithm,
-                distinct_seeds=args.distinct_seeds,
-                generator_params=generator_params,
-                job_timeout=args.job_timeout,
-            )
-    print(render_load_report(report))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as stream:
-            json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        print(f"wrote {args.json_out}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .engine.cache import ResultCache
-
-    store = ResultCache(getattr(args, "cache_dir", None))
-    if args.action == "stats":
-        stats = store.stats()
-        print(f"root: {stats['root']}")
-        print(f"entries: {stats['entries']}")
-        print(f"bytes: {stats['bytes']}")
-        if stats["entries"]:
-            span_seconds = (stats["newest_mtime"] or 0) - (stats["oldest_mtime"] or 0)
-            print(f"write span: {span_seconds:.0f}s")
-        return 0
-    # prune
-    if args.max_bytes is None:
-        print("cache prune requires --max-bytes", file=sys.stderr)
-        return 2
-    report = store.prune(args.max_bytes)
-    print(
-        f"removed {report['removed']} entr{'y' if report['removed'] == 1 else 'ies'}, "
-        f"freed {report['freed_bytes']} bytes, kept {report['kept_bytes']} bytes"
-    )
-    return 0
-
-
-def _cmd_study(args: argparse.Namespace) -> int:
-    from .service.client import ServiceClientError
-    from .study import (
-        build_study_ledger,
-        preset_grid,
-        render_study,
-        run_study_local,
-        run_study_remote,
-    )
-
-    algorithms = tuple(args.algorithms.split(",")) if args.algorithms else None
-    grid = preset_grid(
-        args.preset,
-        two_n=args.two_n,
-        algorithms=algorithms,
-        seeds_per_cell=args.seeds,
-        graph_seed=args.graph_seed,
-        sa_size_factor=args.sa_size_factor,
-    )
-
-    def execute():
-        if args.remote:
-            return run_study_remote(
-                grid,
-                master_seed=args.seed,
-                base_url=args.remote,
-                clients=args.clients,
-                api_key=args.api_key,
-                job_timeout=args.job_timeout,
-            )
-        return run_study_local(grid, master_seed=args.seed, engine=_make_engine(args))
-
-    # Study owns its ledger (kind "study" + the aggregation payload), so
-    # _dispatch's generic --ledger wrapper is skipped for this command.
-    try:
-        if args.ledger is None:
-            outcome = execute()
-        else:
-            from .obs import run_context, write_ledger
-
-            with run_context(
-                jsonl_path=getattr(args, "telemetry", None),
-                workload={"command": "study", "preset": grid.name},
-            ) as run:
-                outcome = execute()
-            ledger = build_study_ledger(run, outcome, argv=sys.argv[1:])
-            ledger_path = write_ledger(
-                ledger, None if args.ledger == "auto" else args.ledger
-            )
-    except ServiceClientError as exc:
-        # Graph setup against a dead/unreachable service fails before any
-        # job traffic; surface it instead of reporting an empty study.
-        print(f"study: service unreachable: {exc}", file=sys.stderr)
-        return 1
-    print(render_study(outcome))
-    if args.ledger is not None:
-        print(f"wrote study ledger {ledger_path}")
-    if outcome.failed_requests:
-        print(f"study: {outcome.failed_requests} failed request(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bisect",
         description="Graph bisection: KL, SA, and the compaction heuristic (DAC 1989).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate a graph and write an edge list")
-    gen.add_argument("model", choices=["gbreg", "g2set", "gnp", "ladder", "grid", "btree"])
-    gen.add_argument("--vertices", type=int, required=True, help="number of vertices (2n)")
-    gen.add_argument("--width", type=int, default=8, help="planted bisection width b")
-    gen.add_argument("--degree", type=int, default=3, help="Gbreg regular degree d")
-    gen.add_argument("--p", type=float, default=0.002, help="edge probability")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True, help="output edge-list path")
-    gen.set_defaults(func=_cmd_generate)
-
-    run = sub.add_parser("run", help="bisect a saved graph")
-    run.add_argument("graph", help="edge-list path")
-    run.add_argument("--algorithm", choices=_GRAPH_ALGORITHMS, default="ckl")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--starts", type=_positive_int, default=1,
-        help="independent random starts (best cut wins; paper protocol is 2)",
-    )
-    run.add_argument("--show-sides", action="store_true")
-    run.add_argument(
-        "--certify", action="store_true",
-        help="also compute bisection-width lower bounds (Stoer-Wagner, spectral)",
-    )
-    run.add_argument("--save-partition", help="write the resulting partition to this path")
-    _add_engine_options(run, cache=False)
-    run.set_defaults(func=_cmd_run)
-
-    kway = sub.add_parser("kway", help="k-way partition a saved graph")
-    kway.add_argument("graph", help="edge-list path")
-    kway.add_argument("--k", type=int, required=True, help="number of parts")
-    kway.add_argument("--seed", type=int, default=0)
-    kway.add_argument("--save-partition", help="write the resulting partition to this path")
-    kway.set_defaults(func=_cmd_kway)
-
-    score = sub.add_parser("score", help="score a saved partition against its graph")
-    score.add_argument("graph", help="edge-list path")
-    score.add_argument("partition", help="partition file path")
-    score.add_argument("--certify", action="store_true")
-    score.set_defaults(func=_cmd_score)
-
-    netlist = sub.add_parser("netlist", help="generate or bisect hMETIS netlists")
-    netlist.add_argument("action", choices=["generate", "run"])
-    netlist.add_argument("file", help="hMETIS (.hgr) path")
-    netlist.add_argument("--cells", type=int, default=500)
-    netlist.add_argument("--clusters", type=int, default=8)
-    netlist.add_argument(
-        "--algorithm", choices=["fm", "cfm", "multilevel"], default="multilevel"
-    )
-    netlist.add_argument(
-        "--k", type=int, default=2, help="parts for k-way netlist partitioning (run only)"
-    )
-    netlist.add_argument("--seed", type=int, default=0)
-    netlist.set_defaults(func=_cmd_netlist)
-
-    report = sub.add_parser(
-        "report", help="run every paper table at REPRO_SCALE into one markdown report"
-    )
-    report.add_argument("--out", help="output path (default: stdout)")
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--kl-only", action="store_true", help="skip SA/CSA")
-    _add_engine_options(report)
-    report.set_defaults(func=_cmd_report)
-
-    table = sub.add_parser("table", help="regenerate a paper table at REPRO_SCALE")
-    table.add_argument("table", choices=sorted(_TABLES))
-    table.add_argument("--seed", type=int, default=0)
-    table.add_argument(
-        "--kl-only", action="store_true", help="skip SA/CSA (much faster)"
-    )
-    _add_engine_options(table)
-    table.set_defaults(func=_cmd_table)
-
-    batch = sub.add_parser(
-        "batch", help="run a declarative JSON batch spec through the engine"
-    )
-    batch.add_argument("spec", help="batch spec path (JSON; see docs/engine.md)")
-    batch.add_argument("--out", help="write per-entry results to this JSONL path")
-    batch.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-job wall-clock timeout in seconds",
-    )
-    batch.add_argument(
-        "--retries", type=_non_negative_int, default=0,
-        help="default retries per job (each retry gets a fresh derived seed)",
-    )
-    _add_engine_options(batch)
-    batch.set_defaults(func=_cmd_batch)
-
-    info = sub.add_parser(
-        "info", help="canonical fingerprint and stats of a saved graph"
-    )
-    info.add_argument("graph", help="edge-list path")
-    info.set_defaults(func=_cmd_info)
-
-    perf = sub.add_parser(
-        "perf",
-        help="time the kernel backends on the paper workloads "
-        "(writes BENCH_<n>.json snapshots; can diff two snapshots)",
-    )
-    perf.add_argument(
-        "--small", action="store_true",
-        help="only 2n = 500 and 2000 (the CI sizes)",
-    )
-    perf.add_argument(
-        "--size", type=_positive_int, action="append",
-        help="benchmark only this 2n (repeatable; overrides --small)",
-    )
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument(
-        "--sa-size-factor", type=_positive_int, default=4,
-        help="SA/CSA temperature length factor (default: 4)",
-    )
-    perf.add_argument(
-        "--repeats", type=_positive_int, default=1,
-        help="timed repetitions per cell; minimum wall time wins (default: 1)",
-    )
-    perf.add_argument(
-        "--out-dir", default=".",
-        help="directory for BENCH_<n>.json snapshots (default: cwd)",
-    )
-    perf.add_argument(
-        "--check", metavar="DIR",
-        help="after measuring, diff each snapshot against DIR/BENCH_<n>.json "
-        "and exit non-zero when a seeded cut or move count differs",
-    )
-    perf.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"),
-        help="just diff two snapshot files (no measurement)",
-    )
-    _add_obs_options(perf)
-    perf.set_defaults(func=_cmd_perf)
-
-    stats = sub.add_parser(
-        "stats",
-        help="render run ledgers as an ASCII dashboard, or diff two of them",
-    )
-    stats.add_argument(
-        "ledgers", nargs="*",
-        help="ledger JSON path(s) to render (none: list the ledger directory)",
-    )
-    stats.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"),
-        help="counter-level explanation of what changed between two runs",
-    )
-    stats.add_argument(
-        "--validate", action="store_true",
-        help="check each ledger against the schema; exit non-zero on violations",
-    )
-    stats.add_argument(
-        "--prometheus", action="store_true",
-        help="dump metrics in Prometheus text format instead of the dashboard",
-    )
-    stats.set_defaults(func=_cmd_stats)
-
-    trace = sub.add_parser(
-        "trace",
-        help="export a telemetry/span JSONL file as a Chrome trace "
-        "(Perfetto-loadable) timeline",
-    )
-    trace.add_argument("action", choices=["export"])
-    trace.add_argument(
-        "events",
-        help="JSONL file from --telemetry / --ledger runs (spans + engine events)",
-    )
-    trace.add_argument(
-        "--out", default="trace.json",
-        help="output trace path (default: trace.json)",
-    )
-    trace.set_defaults(func=_cmd_trace)
-
-    top = sub.add_parser(
-        "top",
-        help="live TTY dashboard over a telemetry file or a served /metrics",
-    )
-    top.add_argument(
-        "events", nargs="?", default=None,
-        help="telemetry JSONL file a concurrent run is appending to",
-    )
-    top.add_argument(
-        "--url", help="poll this repro-bisect serve base URL instead of a file"
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="refresh period in seconds (default: 1.0)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print a single frame and exit (no screen control; CI mode)",
-    )
-    top.add_argument(
-        "--frames", type=_positive_int, default=None,
-        help="stop after this many refreshes (default: until Ctrl-C)",
-    )
-    top.set_defaults(func=_cmd_top)
-
-    check = sub.add_parser(
-        "check",
-        help="verify every registered algorithm against the invariant, "
-        "exact, and metamorphic oracles",
-    )
-    check.add_argument(
-        "--algorithm", action="append",
-        help="check only this algorithm (repeatable; default: all registered)",
-    )
-    check.add_argument(
-        "--family", action="append",
-        help="corpus family (repeatable; default: all families)",
-    )
-    check.add_argument(
-        "--seeds", type=_positive_int, default=3,
-        help="seeds per instance (default: 3)",
-    )
-    check.add_argument(
-        "--quick", action="store_true",
-        help="one size, one seed per family (smoke mode)",
-    )
-    check.add_argument("--json", help="also write the full JSON report here")
-    check.add_argument(
-        "--no-exact", action="store_true",
-        help="skip the brute-force exact-oracle section",
-    )
-    check.add_argument(
-        "--no-metamorphic", action="store_true",
-        help="skip the metamorphic-relation section",
-    )
-    check.add_argument(
-        "--jobs", type=_positive_int, default=2,
-        help="worker processes for the jobs-equivalence relation (default: 2)",
-    )
-    check.add_argument(
-        "--verbose", action="store_true", help="list every record, not just failures"
-    )
-    check.set_defaults(func=_cmd_check)
-
-    lint = sub.add_parser(
-        "lint",
-        help="statically check the source tree against the determinism, "
-        "invariant, and concurrency/lifetime ruleset (R001-R016)",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero on unsuppressed findings, stale baseline "
-        "entries, or missing justifications",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to cover current findings (new entries "
-        "get a TODO justification that --check rejects)",
-    )
-    lint.add_argument(
-        "--baseline",
-        help="baseline file (default: the checked-in analysis/baseline.json)",
-    )
-    lint.add_argument(
-        "--root",
-        help="package directory to scan (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--rule", action="append",
-        help="run only these rule ids (repeatable and/or comma-separated, "
-        "e.g. --rule R002,R013; default: all rules)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore the incremental lint cache and re-analyze everything",
-    )
-    lint.add_argument(
-        "--cache-stats",
-        help="write cache hit/miss statistics as JSON to this path",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="rewrite the mechanical findings in place (R002 clock calls, "
-        "R010 metric names, R013 with-wrapping) and exit",
-    )
-    lint.add_argument(
-        "--dry-run", action="store_true",
-        help="with --fix: print the unified diff instead of writing files",
-    )
-    lint.add_argument("--out", help="write the report here instead of stdout")
-    lint.set_defaults(func=_cmd_lint)
-
-    serve = sub.add_parser(
-        "serve", help="serve the partitioning engine over HTTP/JSON"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8642, help="listen port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--workers", type=_positive_int, default=2,
-        help="engine worker threads shared by all tenants (default: 2)",
-    )
-    serve.add_argument(
-        "--api-keys", metavar="PATH",
-        help="JSON file mapping API key -> {name, max_inflight, max_graphs}; "
-        "omitted = open mode (one shared 'public' tenant)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=_positive_int, default=64,
-        help="default per-tenant in-flight job quota (default: 64)",
-    )
-    serve.add_argument(
-        "--max-graphs", type=_positive_int, default=32,
-        help="default per-tenant stored-graph quota (default: 32)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-job timeout passed to submissions",
-    )
-    serve.add_argument(
-        "--retries", type=_non_negative_int, default=0,
-        help="default per-job retries (each retry derives a fresh seed)",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log each HTTP request to stderr"
-    )
-    serve.add_argument(
-        "--telemetry",
-        help="append engine telemetry events to this JSONL file",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    serve.add_argument(
-        "--cache-dir",
-        help="result cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-bisect)",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    repl = sub.add_parser(
-        "repl", help="interactive graph session (CSV import, queries, submit)"
-    )
-    repl.set_defaults(func=_cmd_repl)
-
-    load = sub.add_parser(
-        "load", help="load-test a running serve (or a self-served instance)"
-    )
-    load.add_argument(
-        "--url",
-        help="service base URL; omitted = boot an in-process server first",
-    )
-    load.add_argument(
-        "--requests", type=_positive_int, default=100,
-        help="submit/poll/fetch interactions per round (default: 100)",
-    )
-    load.add_argument(
-        "--concurrency", type=_positive_int, default=8,
-        help="concurrent client threads (default: 8)",
-    )
-    load.add_argument(
-        "--rounds", type=_positive_int, default=2,
-        help="times to replay the identical request set (default: 2; "
-        "round 2 should be nearly all cache hits)",
-    )
-    load.add_argument(
-        "--algorithm", choices=_GRAPH_ALGORITHMS, default="ckl",
-        help="algorithm each job runs (default: ckl)",
-    )
-    load.add_argument(
-        "--distinct-seeds", type=_positive_int, default=None,
-        help="seed pool size; requests cycle through it "
-        "(default: requests // 4)",
-    )
-    load.add_argument(
-        "--vertices", type=_positive_int, default=500,
-        help="Gbreg graph size for the workload (default: 500)",
-    )
-    load.add_argument("--width", type=_positive_int, default=4)
-    load.add_argument("--degree", type=_positive_int, default=3)
-    load.add_argument("--graph-seed", type=int, default=0)
-    load.add_argument("--api-key", help="X-API-Key for keyed servers")
-    load.add_argument(
-        "--job-timeout", type=float, default=120.0,
-        help="per-request poll deadline in seconds (default: 120)",
-    )
-    load.add_argument(
-        "--workers", type=_positive_int, default=2,
-        help="worker threads for the self-served instance (no --url only)",
-    )
-    load.add_argument("--json-out", help="also write the full JSON report here")
-    load.add_argument(
-        "--no-cache", action="store_true",
-        help="self-served instance: disable the result cache",
-    )
-    load.add_argument(
-        "--cache-dir", help="self-served instance: result cache directory"
-    )
-    load.add_argument(
-        "--telemetry", help="self-served instance: telemetry JSONL file"
-    )
-    load.set_defaults(func=_cmd_load)
-
-    cache = sub.add_parser(
-        "cache", help="inspect or bound the content-addressed result cache"
-    )
-    cache.add_argument("action", choices=["stats", "prune"])
-    cache.add_argument(
-        "--max-bytes", type=int, default=None,
-        help="prune: evict oldest entries until total size fits this budget",
-    )
-    cache.add_argument(
-        "--cache-dir",
-        help="result cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-bisect)",
-    )
-    cache.set_defaults(func=_cmd_cache)
-
-    study = sub.add_parser(
-        "study",
-        help="ensemble study: cut-size distributions, phase sweeps, tail fits",
-    )
-    study.add_argument(
-        "--preset", choices=["quick", "phase-sweep", "heuristics"], default="quick",
-        help="sweep grid: quick (2 cells), phase-sweep (degree sweeps on "
-        "Gbreg and Gnp), heuristics (KL/FM/SA/CKL/CSA on one instance)",
-    )
-    study.add_argument(
-        "--seeds", type=_positive_int, default=None,
-        help="heuristic seeds per cell (default: the preset's ensemble size)",
-    )
-    study.add_argument(
-        "--two-n", dest="two_n", type=_positive_int, default=None,
-        help="override the preset's graph size 2n",
-    )
-    study.add_argument(
-        "--algorithms",
-        help="comma-separated registry names overriding the preset's heuristics",
-    )
-    study.add_argument(
-        "--seed", type=int, default=0,
-        help="master seed: every cell's run seeds derive from it deterministically",
-    )
-    study.add_argument(
-        "--graph-seed", type=int, default=0,
-        help="generator seed for each cell's fixed graph instance",
-    )
-    study.add_argument(
-        "--sa-size-factor", type=_positive_int, default=2,
-        help="temperature length multiplier for sa/csa cells",
-    )
-    study.add_argument(
-        "--remote", metavar="URL",
-        help="drive a running `repro-bisect serve` at URL instead of the "
-        "local engine (doubles as the service load test)",
-    )
-    study.add_argument(
-        "--clients", type=_positive_int, default=8,
-        help="worker threads for --remote mode",
-    )
-    study.add_argument("--api-key", help="service API key for --remote mode")
-    study.add_argument(
-        "--job-timeout", type=float, default=120.0,
-        help="per-job wait timeout in seconds for --remote mode",
-    )
-    _add_engine_options(study)
-    study.set_defaults(func=_cmd_study, study_owns_ledger=True)
+    # A parser holding fewer than all commands still prints the full choice
+    # list in its usage line, so a top-level error reads the same either way.
+    partial = len(commands) < len(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if partial else None,
+    )
+    for command in commands:
+        module = import_module(f"repro.commands.{_COMMANDS[command]}")
+        getattr(module, f"add_{command}_parser")(sub)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand (imports every command module)."""
+    return _parser(tuple(_COMMANDS))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1439,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         # Downstream closed early (e.g. `repro-bisect ... | head`).  Point
         # stdout at devnull so the interpreter's exit-time flush doesn't
         # raise a second BrokenPipeError, and exit cleanly.
-        import os
-
         try:
             fd = sys.stdout.fileno()
         except (OSError, ValueError):  # stdout is not a real file (tests)
@@ -1451,20 +125,37 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Build only the subparser of the command being run; help, no command
+    # and unknown commands get the full parser and its messages.
+    tokens = sys.argv[1:] if argv is None else argv
+    command = tokens[0] if tokens else None
+    if command in _COMMANDS:
+        parser = _parser((command,))
+    else:
+        parser = build_parser()
+    args = parser.parse_args(argv)
     ledger_target = getattr(args, "ledger", None)
     if getattr(args, "study_owns_ledger", False):
         ledger_target = None  # study builds its own (kind "study") ledger
     profile_target = getattr(args, "profile", None)
-
-    from .obs.profiler import maybe_profile, profiling_enabled
-
-    wants_profile = profile_target is not None or profiling_enabled()
+    # The same opt-in test as obs.profiler.profiling_enabled, read here so
+    # that a command that is not profiled never imports the profiler.
+    wants_profile = profile_target is not None or (
+        os.environ.get("REPRO_PROFILE", "0") not in ("", "0")
+    )
     if ledger_target is None and not wants_profile:
         return args.func(args)
 
+    if wants_profile:
+        from .obs.profiler import maybe_profile
+
+        profiling = maybe_profile(force=True)
+    else:
+        from contextlib import nullcontext
+
+        profiling = nullcontext()
     run = None
-    with maybe_profile(force=wants_profile) as profiler:
+    with profiling as profiler:
         if ledger_target is None:
             exit_code = args.func(args)
         else:

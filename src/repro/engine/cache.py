@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator
+from contextlib import suppress
 from pathlib import Path
 from typing import Any
 
@@ -74,13 +75,26 @@ class ResultCache:
             return None
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Store ``payload`` atomically under ``key``."""
+        """Store ``payload`` atomically under ``key``.
+
+        Raises ``OSError`` when the entry cannot be written, and then
+        leaves no temp file behind.
+        """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        # One-shot dumps runs the C encoder; json.dump into a stream does not.
+        text = json.dumps(payload, sort_keys=True)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
-        os.replace(tmp, path)
+        try:
+            try:
+                tmp.write_text(text, encoding="utf-8")
+            except FileNotFoundError:  # the first entry of its shard
+                tmp.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                tmp.unlink()
+            raise
 
     def entries(self) -> Iterator[Path]:
         """Paths of every stored result (skips ledgers and stray files).

@@ -4,7 +4,7 @@ Every engine action emits a :class:`TelemetryEvent` — batch lifecycle
 (``batch_start``/``batch_finish``), per-job flow (``job_queued``,
 ``job_start``, ``job_finish``), cache traffic (``cache_hit``,
 ``cache_store``), and degradations (``pool_unavailable``,
-``serial_fallback``, ``pool_broken``).  Events accumulate in memory for
+``serial_fallback``, ``pool_broken``, ``cache_store_failed``).  Events accumulate in memory for
 programmatic summaries and, when a ``jsonl_path`` is given, are appended
 to disk one JSON object per line using the shared observability envelope
 (``ts`` / ``run_id`` / ``kind`` first — see

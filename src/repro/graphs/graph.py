@@ -18,7 +18,6 @@ matched edge.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Hashable, Iterable, Iterator
 
 __all__ = ["Graph", "graph_fingerprint", "vertex_token"]
@@ -55,6 +54,8 @@ def graph_fingerprint(graph: "Graph") -> str:
     cached = graph._derived.get("fingerprint")
     if cached is not None:
         return cached
+    import hashlib  # here, not at module top: most runs never fingerprint
+
     digest = hashlib.sha256()
     vertex_lines = sorted(
         f"v {vertex_token(v)} {graph.vertex_weight(v)}" for v in graph.vertices()

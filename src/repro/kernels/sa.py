@@ -66,6 +66,18 @@ class Walk:
     trace: list[tuple[float, float, int]] = field(default_factory=list)
 
 
+def _rewind(sides: list[int], flipped: list[int]) -> list[int]:
+    """The best-seen state: ``sides`` with every flip logged since then undone.
+
+    A walk logs each vertex it flips and clears the log at every new best,
+    so one pass at the end replaces a copy of ``sides`` per new best.
+    """
+    best = sides.copy()
+    for i in flipped:
+        best[i] ^= 1
+    return best
+
+
 def flip_walk(
     csr: CSRGraph,
     sides: list[int],
@@ -111,7 +123,8 @@ def _flip_walk_buffered(
     unit_vw = csr.unit_vertex_weights
 
     best_cut = cut if abs(diff) <= balance_tolerance else None
-    best_sides = sides.copy() if best_cut is not None else None
+    flipped: list[int] = []  # vertices flipped since the best-seen state
+    log = flipped.append
 
     moves_per_temp = schedule.moves_per_temperature(n)
     cutoff = schedule.acceptance_cutoff(n)
@@ -187,6 +200,7 @@ def _flip_walk_buffered(
                         continue
                 side_v = sides[i]
                 sides[i] = 1 - side_v
+                log(i)
                 cut_delta = cdelta[i]
                 cut += cut_delta
                 diff = diff - 2 if side_v == 0 else diff + 2
@@ -207,7 +221,7 @@ def _flip_walk_buffered(
                     best_cut is None or cut < best_cut
                 ):
                     best_cut = cut
-                    best_sides = sides.copy()
+                    flipped.clear()
                     improved_best = True
         else:
             for _ in range(moves_per_temp):
@@ -239,6 +253,7 @@ def _flip_walk_buffered(
                     if u53 >= thr:
                         continue
                 sides[i] = 1 - side_v
+                log(i)
                 cut += cut_delta
                 diff = new_diff
                 accepted_here += 1
@@ -256,7 +271,7 @@ def _flip_walk_buffered(
                     best_cut is None or cut < best_cut
                 ):
                     best_cut = cut
-                    best_sides = sides.copy()
+                    flipped.clear()
                     improved_best = True
         attempted += attempted_here
         accepted += accepted_here
@@ -281,7 +296,7 @@ def _flip_walk_buffered(
 
     return Walk(
         sides=sides,
-        best_sides=best_sides,
+        best_sides=None if best_cut is None else _rewind(sides, flipped),
         cut=cut,
         attempted=attempted,
         accepted=accepted,
@@ -316,7 +331,8 @@ def _flip_walk_generic(
     vweights = csr.vertex_weight_list()
 
     best_cut = cut if abs(diff) <= balance_tolerance else None
-    best_sides = sides.copy() if best_cut is not None else None
+    flipped: list[int] = []  # vertices flipped since the best-seen state
+    log = flipped.append
 
     moves_per_temp = schedule.moves_per_temperature(n)
     cutoff = schedule.acceptance_cutoff(n)
@@ -354,6 +370,7 @@ def _flip_walk_generic(
                 if rand() >= exp(-delta / temperature):
                     continue
             sides[i] = 1 - side_v
+            log(i)
             cut += cut_delta
             diff = new_diff
             accepted_here += 1
@@ -371,7 +388,7 @@ def _flip_walk_generic(
                 best_cut is None or cut < best_cut
             ):
                 best_cut = cut
-                best_sides = sides.copy()
+                flipped.clear()
                 improved_best = True
         attempted += attempted_here
         accepted += accepted_here
@@ -387,7 +404,7 @@ def _flip_walk_generic(
 
     return Walk(
         sides=sides,
-        best_sides=best_sides,
+        best_sides=None if best_cut is None else _rewind(sides, flipped),
         cut=cut,
         attempted=attempted,
         accepted=accepted,
@@ -431,7 +448,8 @@ def swap_walk(
     n1 = len(one)
 
     best_cut = cut if abs(diff) <= balance_tolerance else None
-    best_sides = sides.copy() if best_cut is not None else None
+    flipped: list[int] = []  # vertices flipped since the best-seen state
+    log = flipped.append
 
     moves_per_temp = schedule.moves_per_temperature(n)
     cutoff = schedule.acceptance_cutoff(n)
@@ -451,6 +469,7 @@ def swap_walk(
 
     def flip(i: int, side_i: int) -> None:
         sides[i] = 1 - side_i
+        log(i)
         cdelta[i] = -cdelta[i]
         row = nbrs[i]
         if wts is None:
@@ -491,7 +510,7 @@ def swap_walk(
                     best_cut is None or cut < best_cut
                 ):
                     best_cut = cut
-                    best_sides = sides.copy()
+                    flipped.clear()
                     improved_best = True
         attempted += attempted_here
         accepted += accepted_here
@@ -507,7 +526,7 @@ def swap_walk(
 
     return Walk(
         sides=sides,
-        best_sides=best_sides,
+        best_sides=None if best_cut is None else _rewind(sides, flipped),
         cut=cut,
         attempted=attempted,
         accepted=accepted,

@@ -25,6 +25,7 @@ _DEGRADATIONS = {
     "engine_pool_broken_total": "pool broke mid-batch; remaining jobs ran serially",
     "engine_shm_attach_failed_total": "shared-memory attach failed; job reran with a pickled graph",
     "engine_serial_fallbacks_total": "batch degraded to the serial path",
+    "engine_cache_store_failures_total": "result cache write failed; result returned uncached",
     "obs_shipment_dropped_total": "worker obs shipment truncated (span/series cap)",
 }
 

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
 from repro.engine.cache import ResultCache, cache_key, default_cache_dir
 from repro.engine.job import AlgorithmSpec
 
@@ -60,3 +67,60 @@ class TestResultCache:
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
         assert default_cache_dir() == tmp_path / "custom"
+
+
+class TestPut:
+    PAYLOAD = {
+        "status": "ok",
+        "cut": 14,
+        "side0": ["int:0", "int:3", "str:é"],
+        "seconds": 0.21,
+        "attempts": 1,
+        "counters": {"passes": 4, "pass_gains": [9, 3, 0], "swaps": 12},
+    }
+
+    def test_entry_bytes_equal_json_dump(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key(FP_A, AlgorithmSpec.make("kl"), 1)
+        cache.put(key, self.PAYLOAD)
+        stream = io.StringIO()
+        json.dump(self.PAYLOAD, stream, sort_keys=True)
+        assert cache.path_for(key).read_bytes() == stream.getvalue().encode("utf-8")
+
+    def test_shard_directory_is_made_once(self, tmp_path, monkeypatch):
+        made = []
+        mkdir = Path.mkdir
+        monkeypatch.setattr(
+            Path, "mkdir", lambda self, *a, **k: made.append(self) or mkdir(self, *a, **k)
+        )
+        cache = ResultCache(tmp_path)
+        for seed in range(40):  # 40 keys over 256 shards: some share one
+            cache.put(cache_key(FP_A, AlgorithmSpec.make("kl"), seed), {"cut": seed})
+        shards = {path.parent for path in cache.entries()}
+        assert len(cache) == 40
+        assert sorted(made) == sorted(shards)
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, stage):
+        cache = ResultCache(tmp_path)
+        key = cache_key(FP_A, AlgorithmSpec.make("kl"), 1)
+        cache.put(cache_key(FP_A, AlgorithmSpec.make("kl"), 2), {"cut": 2})
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if stage == "write":
+            write_text = Path.write_text
+
+            def partial_write(self, text, *args, **kwargs):
+                write_text(self, text[:3], *args, **kwargs)
+                full_disk()
+
+            monkeypatch.setattr(Path, "write_text", partial_write)
+        else:
+            monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            cache.put(key, {"cut": 1})
+        leftovers = [p.name for p in tmp_path.rglob("*") if ".tmp" in p.name]
+        assert leftovers == []
+        assert cache.get(key) is None and len(cache) == 1

@@ -153,12 +153,12 @@ class TestDeterminism:
 
 class TestGracefulDegradation:
     def test_pool_unavailable_falls_back_to_serial(self, graph, monkeypatch):
-        import repro.engine.executor as executor
+        import repro.engine.parallel as parallel
 
         def broken_pool(workers, graphs):
             raise OSError("no semaphores here")
 
-        monkeypatch.setattr(executor, "_make_pool", broken_pool)
+        monkeypatch.setattr(parallel, "_make_pool", broken_pool)
         engine = Engine(jobs=4)
         results = engine.run(_start_jobs(AlgorithmSpec.make("kl"), 9, 3), {"g": graph})
         assert all(r.ok for r in results)
@@ -266,13 +266,45 @@ class TestResultCaching:
         assert kinds.count("cache_hit") == 2
 
 
+class _FullDiskCache(ResultCache):
+    """A cache whose every write fails as on a full disk."""
+
+    def put(self, key, payload):
+        raise OSError(28, "No space left on device")
+
+
+class TestCacheStoreFailure:
+    """A failed cache write costs the cache entry, never the result."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_survive_and_failures_are_counted(
+        self, graph, tmp_path, monkeypatch, workers
+    ):
+        from repro.obs import counter
+
+        monkeypatch.setenv("REPRO_OBS", "1")
+        failures = counter("engine_cache_store_failures_total")
+        before = failures.value
+        jobs = _start_jobs(AlgorithmSpec.make("kl"), 9, 3)
+        engine = Engine(jobs=workers, cache=_FullDiskCache(tmp_path))
+        results = engine.run(jobs, {"g": graph})
+
+        assert [r.status for r in results] == ["ok"] * len(jobs)
+        serial = Engine(jobs=1).run(jobs, {"g": graph})
+        assert [r.side0 for r in results] == [r.side0 for r in serial]
+        assert engine.telemetry.count("pool_broken") == 0
+        assert engine.telemetry.count("cache_store") == 0
+        assert engine.telemetry.count("cache_store_failed") == len(jobs)
+        assert failures.value - before == len(jobs)
+
+
 class TestWorkerShmAttachFailureCleanup:
     """Regression: the worker-side mirror of the runner's attach/rebuild
     cleanup — a rebuild failure must close the segment and cache nothing,
     so the worker keeps serving other jobs without a leaked mapping."""
 
     def test_rebuild_failure_detaches_and_caches_nothing(self, monkeypatch):
-        import repro.engine.executor as executor
+        import repro.engine.parallel as parallel
         from repro.graphs.shm import SharedGraphSegment, ShmGraphRef
 
         closed = []
@@ -290,14 +322,14 @@ class TestWorkerShmAttachFailureCleanup:
             SharedGraphSegment, "attach",
             classmethod(lambda cls, name: FakeSegment()),
         )
-        monkeypatch.setattr(executor, "_WORKER_GRAPHS", {"g": ShmGraphRef("psm_x")})
+        monkeypatch.setattr(parallel, "_WORKER_GRAPHS", {"g": ShmGraphRef("psm_x")})
         # A pre-existing entry keeps the atexit hook from being
         # registered inside the test process.
         sentinel = SimpleNamespace(close=lambda: None)
         monkeypatch.setattr(
-            executor, "_WORKER_ATTACHED", {"seed": (sentinel, None)}
+            parallel, "_WORKER_ATTACHED", {"seed": (sentinel, None)}
         )
         with pytest.raises(RuntimeError, match="corrupt header"):
-            executor._resolve_worker_graph("g")
+            parallel._resolve_worker_graph("g")
         assert closed == [True]
-        assert "psm_x" not in executor._WORKER_ATTACHED
+        assert "psm_x" not in parallel._WORKER_ATTACHED

@@ -15,9 +15,10 @@ import os
 
 import pytest
 
-import repro.engine.executor as executor
-from repro.engine.executor import Engine, _worker_init, _worker_run
+import repro.engine.parallel as parallel
 from repro.engine import registry
+from repro.engine.executor import Engine
+from repro.engine.parallel import _worker_init, _worker_run
 from repro.engine.job import AlgorithmSpec, Job
 from repro.engine.telemetry import Telemetry
 from repro.graphs.generators import gbreg
@@ -133,7 +134,7 @@ class TestAttachFallback:
             _worker_init({})
         assert result.status == "failed"
         assert result.attempts == 0
-        assert result.error.startswith(executor._SHM_ATTACH_PREFIX)
+        assert result.error.startswith(parallel._SHM_ATTACH_PREFIX)
 
 
 def _build_crash():
@@ -174,10 +175,10 @@ class TestRobustnessCleanup:
         assert _segment_names() == before
 
     def test_keyboard_interrupt_still_unlinks(self, graph, monkeypatch):
-        def interrupted(self, pool, pending, results):
+        def interrupted(engine, pool, pending, results):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(Engine, "_run_parallel", interrupted)
+        monkeypatch.setattr(parallel, "_run_parallel", interrupted)
         before = _segment_names()
         telemetry = Telemetry()
         with pytest.raises(KeyboardInterrupt):

@@ -174,3 +174,46 @@ class TestParser:
     def test_help_exists(self):
         parser = build_parser()
         assert parser.prog == "repro-bisect"
+
+
+#: Every subcommand, in the order top-level help lists them.
+COMMANDS = (
+    "generate", "run", "kway", "score", "netlist", "report", "table", "batch",
+    "info", "perf", "stats", "trace", "top", "check", "lint", "serve", "repl",
+    "load", "cache", "study",
+)
+
+
+def _printed(parse, capsys) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        parse()
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestLazyParser:
+    """``main`` builds only the subparser of the command it runs."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_matches_the_full_parser(self, command, capsys):
+        full = _printed(lambda: build_parser().parse_args([command, "--help"]), capsys)
+        lazy = _printed(lambda: main([command, "--help"]), capsys)
+        assert lazy == full
+        assert f"usage: repro-bisect {command}" in lazy
+
+    def test_top_level_help_lists_every_command_in_order(self, capsys):
+        text = _printed(lambda: main(["--help"]), capsys)
+        assert "{" + ",".join(COMMANDS) + "}" in text.replace("\n", "").replace(" ", "")
+        # One row per command, indented four spaces; wrapped help is deeper.
+        listed = [line.split()[0] for line in text.splitlines()
+                  if line.startswith("    ") and not line.startswith("     ")]
+        assert listed == list(COMMANDS)
+
+    def test_errors_match_the_full_parser(self, capsys):
+        for argv in (["run", "g.edges", "extra"], ["run"], ["bogus"], []):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            full = capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert capsys.readouterr().err == full, argv

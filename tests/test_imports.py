@@ -38,15 +38,39 @@ LAZY_PACKAGES = (
     "repro.partition.annealing",
 )
 
-#: Never loaded by ``import repro.cli``: each belongs to other subcommands,
+#: Never loaded by ``import repro.cli``: each belongs to the subcommands,
 #: to the numpy backend, or to the worker pool.
 NOT_FOR_THE_CLI = (
     "numpy",
+    "repro.commands",
     "repro.bench",
     "repro.service",
     "repro.analysis",
     "repro.study",
     "repro.hypergraph",
+    "multiprocessing",
+)
+
+#: Never loaded by a serial ``run --algorithm kl``: the result cache, the
+#: profiler, the pool and its shm and shipping code, every other command's
+#: module, and the standard-library modules only those need.
+NOT_FOR_A_SERIAL_RUN = (
+    "numpy",
+    "repro.engine.cache",
+    "repro.engine.parallel",
+    "repro.obs.profiler",
+    "repro.obs.shipper",
+    "repro.graphs.shm",
+    "repro.commands.bench",
+    "repro.commands.check",
+    "repro.commands.graphs",
+    "repro.commands.lint",
+    "repro.commands.netlist",
+    "repro.commands.observe",
+    "repro.commands.service",
+    "repro.commands.study",
+    "hashlib",
+    "concurrent.futures",
     "multiprocessing",
 )
 
@@ -97,9 +121,36 @@ class TestImportFootprint:
         assert loaded == []
 
     def test_serial_run_loads_neither_numpy_nor_the_pool(self, graph_file):
-        watch = ("numpy", "multiprocessing", "concurrent.futures", "repro.graphs.shm")
-        outcome = _probe(_RUN_KL.format(path=graph_file, watch=watch))
+        outcome = _probe(_RUN_KL.format(path=graph_file, watch=NOT_FOR_A_SERIAL_RUN))
         assert outcome["loaded"] == []
+
+    def test_module_run_compiles_only_its_own_command(self, graph_file):
+        # As `python -m repro.cli` runs it: cli.py is __main__, so nothing
+        # may import repro.cli again, which would compile it a second time.
+        loaded = _probe(f"""
+            import atexit, json, runpy, sys
+
+            watch = {NOT_FOR_A_SERIAL_RUN + ("repro.cli",)!r}
+            atexit.register(lambda: print(json.dumps(
+                sorted(m for m in watch if m in sys.modules))))
+            sys.argv = ["repro-bisect", "run", {graph_file!r}, "--algorithm", "kl"]
+            runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+        """)
+        assert loaded == []
+
+    def test_parallel_run_loads_the_pool_in_the_parent(self, graph_file):
+        pool = ("repro.engine.parallel", "repro.graphs.shm", "repro.obs.shipper",
+                "multiprocessing", "concurrent.futures")
+        loaded = _probe(f"""
+            import contextlib, io, json, sys
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", {graph_file!r}, "--algorithm", "kl",
+                             "--starts", "2", "--jobs", "2"]) == 0
+            print(json.dumps(sorted(m for m in {pool!r} if m in sys.modules)))
+        """)
+        assert loaded == sorted(pool)
 
     def test_numpy_backend_loads_numpy_and_matches_array(self, graph_file):
         pytest.importorskip("numpy")
@@ -159,7 +210,7 @@ class TestForkInheritance:
         added = _probe("""
             import json, sys
             from repro.engine import AlgorithmSpec, Engine, Job
-            from repro.engine import executor
+            from repro.engine import parallel
             from repro.graphs.generators import gbreg
             from repro.graphs.shm import SharedGraphSegment, ShmGraphRef
 
@@ -170,13 +221,13 @@ class TestForkInheritance:
 
             segment = SharedGraphSegment.create(graph)
             try:
-                executor._worker_init({"g": ShmGraphRef(segment.name)})
+                parallel._worker_init({"g": ShmGraphRef(segment.name)})
                 before = set(sys.modules)
-                result = executor._worker_run(Job("g", spec, 9, job_id="probe"))
+                result = parallel._worker_run(Job("g", spec, 9, job_id="probe"))
                 added = sorted(set(sys.modules) - before)
             finally:
-                executor._close_worker_segments()
-                executor._worker_init({})
+                parallel._close_worker_segments()
+                parallel._worker_init({})
                 segment.close()
                 segment.unlink()
             assert result.ok and result.counters["worker_csr_compiles"] == 0
